@@ -68,7 +68,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseEnv -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzPentaSolve -fuzztime 10s ./internal/npb
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/store
-	$(GO) test -run '^$$' -fuzz FuzzClusterWire -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzClaimWire -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzClaimMerge -fuzztime 10s ./internal/cluster
 

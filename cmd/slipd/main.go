@@ -20,10 +20,10 @@
 // peered with -join-coordinator replicate the claim table to each other
 // leader-lessly, so any one of them can be SIGKILLed without stranding
 // work — a survivor's lease sweep reclaims in-flight jobs and serves
-// the byte-identical result. Stragglers are hedged: a claim running
-// past the per-label latency threshold opens to a second worker, first
-// result wins. With zero live workers a coordinator executes jobs
-// locally and sets "degraded":true on /readyz.
+// the byte-identical result. A coordinator sees a worker while it has
+// polled, renewed or reported within one claim lease, or holds an
+// unexpired lease in that coordinator's table; with no worker in sight
+// it executes jobs locally and sets "degraded":true on /readyz.
 //
 // SIGINT/SIGTERM drains gracefully: in-flight and queued jobs finish
 // (up to -drain), held claims report before the claim loop stops, the
@@ -67,23 +67,19 @@ func main() {
 		jobTimeout  = flag.Duration("job-timeout", 0, "per-job execution wall-clock limit (0 = none)")
 		drain       = flag.Duration("drain", 5*time.Minute, "graceful-shutdown deadline for in-flight jobs")
 		dataDir     = flag.String("data-dir", "slipd-data", "directory for the job journal and result store")
-		maxAttempts = flag.Int("max-attempts", 3, "crash-recovery retry budget per job (also bounds claim leases per job)")
+		maxAttempts = flag.Int("max-attempts", 3, "crash-recovery retry budget per job (also bounds claim leases per job: the first claim plus expiry reclaims)")
 		noPersist   = flag.Bool("no-persist", false, "disable the journal and disk result store (memory only)")
 
 		coordinator = flag.Bool("coordinator", false, "run as fleet coordinator: serve the claim table workers pull from")
 		workerMode  = flag.Bool("worker", false, "run as fleet worker: claim and execute jobs from coordinators")
 		join        = flag.String("join", "", "comma-separated coordinator base URLs a -worker claims from")
 		joinCoord   = flag.String("join-coordinator", "", "comma-separated peer coordinator base URLs to replicate the claim table with")
-		advertise   = flag.String("advertise", "", "base URL this node is reachable at (default: derived from -addr)")
-		workerID    = flag.String("worker-id", "", "stable worker identity (default: host:port of -advertise)")
-		hbInterval  = flag.Duration("heartbeat-interval", time.Second, "coordinator: heartbeat cadence told to workers (also the sweep and replication cadence)")
-		suspectAft  = flag.Duration("suspect-after", 0, "coordinator: silence before a worker turns suspect (default 3× heartbeat)")
-		deadAfter   = flag.Duration("dead-after", 0, "coordinator: silence before a worker is reported dead (default 10× heartbeat)")
-		hedgeAfter  = flag.Duration("hedge-after", 0, "coordinator: fixed straggler threshold for hedged claims (0 = p95-driven)")
-		claimLease  = flag.Duration("claim-lease", 10*time.Second, "coordinator: claim lease duration; an unrenewed lease this old is reclaimed")
+		workerID    = flag.String("worker-id", "", "stable worker identity (default: host:port of -addr)")
+		syncEvery   = flag.Duration("sync-interval", time.Second, "coordinator: cadence of the lease sweep, replication pushes and dispatch watchdog")
+		claimLease  = flag.Duration("claim-lease", 10*time.Second, "coordinator: claim lease duration; an unrenewed lease this old is reclaimed, and a worker silent this long is no longer counted")
 		claimPoll   = flag.Duration("claim-poll", 2*time.Second, "long-poll hold for POST /cluster/claims (coordinator cap and worker request)")
 		brkFails    = flag.Int("breaker-failures", 0, "coordinator: consecutive replication failures before a peer's circuit breaker opens (default 5)")
-		brkCooldown = flag.Duration("breaker-cooldown", 0, "coordinator: how long an open peer breaker waits before its half-open probe (default 10× heartbeat)")
+		brkCooldown = flag.Duration("breaker-cooldown", 0, "coordinator: how long an open peer breaker waits before its half-open probe (default 10× -sync-interval)")
 		maxReplLag  = flag.Duration("max-replication-lag", 0, "coordinator: shed new jobs (503 + Retry-After) while every peer's replication lag exceeds this (0 = never shed)")
 		chaosSpec   = flag.String("chaos-spec", "", "inject seeded control-plane faults on this node's outbound fleet HTTP, e.g. drop=0.05,delay=0.1:1ms:20ms,dup=0.02,reorder=0.05,skew=50ms (testing only)")
 		chaosSeed   = flag.Uint64("chaos-seed", 1, "seed for -chaos-spec; one seed fully determines the fault schedule")
@@ -139,12 +135,8 @@ func main() {
 		worker:      *workerMode,
 		join:        splitURLs(*join),
 		peers:       splitURLs(*joinCoord),
-		advertise:   *advertise,
 		workerID:    *workerID,
-		heartbeat:   *hbInterval,
-		suspect:     *suspectAft,
-		dead:        *deadAfter,
-		hedge:       *hedgeAfter,
+		sync:        *syncEvery,
 		lease:       *claimLease,
 		poll:        *claimPoll,
 		brkFails:    *brkFails,
@@ -165,12 +157,8 @@ type fleetConfig struct {
 	worker      bool
 	join        []string
 	peers       []string
-	advertise   string
 	workerID    string
-	heartbeat   time.Duration
-	suspect     time.Duration
-	dead        time.Duration
-	hedge       time.Duration
+	sync        time.Duration
 	lease       time.Duration
 	poll        time.Duration
 	brkFails    int
@@ -231,9 +219,9 @@ func splitURLs(s string) []string {
 	return out
 }
 
-// deriveAdvertise turns a listen address like ":8081" into a URL other
-// fleet members on the same host can reach.
-func deriveAdvertise(addr string) string {
+// selfURL turns a listen address like ":8081" into a URL other fleet
+// members on the same host can reach.
+func selfURL(addr string) string {
 	if strings.HasPrefix(addr, ":") {
 		return "http://127.0.0.1" + addr
 	}
@@ -246,9 +234,9 @@ func run(addr string, cfg server.Config, fleet fleetConfig, drain time.Duration)
 	}
 
 	// Control-plane chaos (testing only): a seeded fault layer on this
-	// node's outbound fleet HTTP — heartbeats, claims, replication — so a
-	// live fleet can be drilled with reproducible network weather. The
-	// data plane (client-facing /jobs) is untouched.
+	// node's outbound fleet HTTP — claims, renewals, reports,
+	// replication — so a live fleet can be drilled with reproducible
+	// network weather. The data plane (client-facing /jobs) is untouched.
 	var fleetHTTP *http.Client
 	if fleet.chaosSpec != "" {
 		spec, err := netchaos.ParseSpec(fleet.chaosSpec)
@@ -260,7 +248,7 @@ func run(addr string, cfg server.Config, fleet fleetConfig, drain time.Duration)
 		if err != nil {
 			return fmt.Errorf("arm -chaos-spec: %w", err)
 		}
-		self := deriveAdvertise(addr)
+		self := selfURL(addr)
 		fleetHTTP = &http.Client{Transport: chaos.Transport(self, nil)}
 		cfg.ChaosInjected = func() uint64 { return chaos.Counters().Total() }
 		logf("control-plane chaos armed: %s (seed %d)", spec, fleet.chaosSeed)
@@ -269,15 +257,12 @@ func run(addr string, cfg server.Config, fleet fleetConfig, drain time.Duration)
 	var co *cluster.Coordinator
 	if fleet.coordinator {
 		ccfg := cluster.Config{
-			HeartbeatInterval: fleet.heartbeat,
-			SuspectAfter:      fleet.suspect,
-			DeadAfter:         fleet.dead,
-			HedgeAfter:        fleet.hedge,
+			SyncInterval:      fleet.sync,
 			LeaseDuration:     fleet.lease,
 			ClaimWait:         fleet.poll,
 			MaxAttempts:       cfg.MaxAttempts,
 			Peers:             fleet.peers,
-			SelfID:            deriveAdvertise(addr),
+			SelfID:            selfURL(addr),
 			BreakerFailures:   fleet.brkFails,
 			BreakerCooldown:   fleet.brkCooldown,
 			MaxReplicationLag: fleet.maxReplLag,
@@ -348,40 +333,13 @@ func run(addr string, cfg server.Config, fleet fleetConfig, drain time.Duration)
 		}
 	}
 
-	var agents []*cluster.Agent
 	var claimer *cluster.Claimer
 	if fleet.worker {
-		adv := fleet.advertise
-		if adv == "" {
-			adv = deriveAdvertise(addr)
-		}
 		id := fleet.workerID
 		if id == "" {
-			id = strings.TrimPrefix(strings.TrimPrefix(adv, "http://"), "https://")
+			id = strings.TrimPrefix(selfURL(addr), "http://")
 		}
-		// One membership agent per coordinator: every coordinator's
-		// registry (and hedging input) sees this worker, so the fleet view
-		// survives any single coordinator.
-		for _, coURL := range fleet.join {
-			agent, err := cluster.StartAgent(cluster.AgentConfig{
-				Coordinator: coURL,
-				ID:          id,
-				Advertise:   adv,
-				Capacity:    cfg.Workers,
-				Load:        srv.Load,
-				HTTPClient:  fleetHTTP,
-				Logf:        logf,
-			})
-			if err != nil {
-				for _, a := range agents {
-					a.Stop()
-				}
-				httpSrv.Close()
-				return fmt.Errorf("join fleet: %w", err)
-			}
-			agents = append(agents, agent)
-		}
-		claimer = cluster.StartClaimer(cluster.ClaimerConfig{
+		claimer, err = cluster.StartClaimer(cluster.ClaimerConfig{
 			Coordinators: fleet.join,
 			ID:           id,
 			Slots:        cfg.Workers,
@@ -402,17 +360,18 @@ func run(addr string, cfg server.Config, fleet fleetConfig, drain time.Duration)
 			},
 			Logf: logf,
 		})
+		if err != nil {
+			httpSrv.Close()
+			return fmt.Errorf("join fleet: %w", err)
+		}
 		fmt.Fprintf(os.Stderr, "slipd: worker mode — claiming from %s as %s\n", strings.Join(fleet.join, ", "), id)
 	}
 
 	stopFleet := func() {
-		// Claims first: Stop lets held claims finish and report, so a clean
-		// shutdown leaves no lease behind to expire. Then membership.
+		// Stop lets held claims finish and report, so a clean shutdown
+		// leaves no lease behind to expire.
 		if claimer != nil {
 			claimer.Stop()
-		}
-		for _, a := range agents {
-			a.Stop()
 		}
 	}
 

@@ -69,14 +69,23 @@ type Claimer struct {
 	wg     sync.WaitGroup
 }
 
-// StartClaimer begins claiming. Stop it when done.
-func StartClaimer(cfg ClaimerConfig) *Claimer {
+// StartClaimer validates the config and begins claiming. Stop it when
+// done. A worker id the wire format refuses, or no coordinator to claim
+// from, is an error here: either would otherwise leave the loop polling
+// forever without ever being granted work.
+func StartClaimer(cfg ClaimerConfig) (*Claimer, error) {
+	if err := validID(cfg.ID); err != nil {
+		return nil, fmt.Errorf("claimer: %w", err)
+	}
+	if len(cfg.Coordinators) == 0 {
+		return nil, fmt.Errorf("claimer: no coordinator URL to claim from")
+	}
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Claimer{cfg: cfg, ctx: ctx, cancel: cancel, sem: make(chan struct{}, cfg.Slots)}
 	c.wg.Add(1)
 	go c.loop()
-	return c
+	return c, nil
 }
 
 // Stop halts claiming and waits for claims already being run to finish
@@ -96,7 +105,7 @@ func (c *Claimer) loop() {
 			return
 		case c.sem <- struct{}{}:
 		}
-		granted := false
+		granted, answered := false, false
 		for range c.cfg.Coordinators {
 			co := c.cfg.Coordinators[next%len(c.cfg.Coordinators)]
 			next++
@@ -108,6 +117,7 @@ func (c *Claimer) loop() {
 				}
 				continue // coordinator down or talking nonsense; try the next
 			}
+			answered = true
 			if !ok {
 				continue // long-poll expired empty
 			}
@@ -122,9 +132,11 @@ func (c *Claimer) loop() {
 		}
 		if !granted {
 			<-c.sem
-			// Every coordinator came back empty (or unreachable). The
-			// long-poll already paced the reachable case; this sleep only
-			// stops a dead-fleet worker from spinning.
+			if answered {
+				continue // the long-poll paced this round
+			}
+			// Every coordinator was unreachable; this sleep only stops a
+			// dead-fleet worker from spinning.
 			select {
 			case <-c.ctx.Done():
 				return

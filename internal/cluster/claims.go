@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -35,21 +36,19 @@ type ResultSource interface {
 // claimEntry is one job's lease state. All fields are guarded by the
 // table mutex; done is closed exactly once, when the entry settles.
 type claimEntry struct {
-	key          string
-	label        string
-	tenant       string // admitting tenant, carried for observability and journals
-	priority     int    // scheduling class; Claim serves higher classes first
-	spec         json.RawMessage
-	state        string // pending | claimed | done | failed
-	claimedBy    string
-	expires      time.Time
-	attempt      int
-	hedged       bool // MarkHedgeable called; a second worker may claim
-	hedgeAttempt int  // attempt number handed to the hedge, for HedgesWon
-	errMsg       string
-	result       []byte
-	settledAt    time.Time
-	done         chan struct{}
+	key       string
+	label     string
+	tenant    string // admitting tenant, carried for observability and journals
+	priority  int    // scheduling class; Claim serves higher classes first
+	spec      json.RawMessage
+	state     string // pending | claimed | done | failed
+	claimedBy string
+	expires   time.Time
+	attempt   int
+	errMsg    string
+	result    []byte
+	settledAt time.Time
+	done      chan struct{}
 }
 
 func (e *claimEntry) terminal() bool {
@@ -57,15 +56,13 @@ func (e *claimEntry) terminal() bool {
 }
 
 // ClaimCounters are the table's lifetime counters, exported as the
-// slipd_claims_total{outcome} family plus contention and expirations.
+// slipd_claims_total{outcome} family plus expirations.
 type ClaimCounters struct {
-	Granted     uint64 // leases handed out (first claims, reclaims, hedges)
+	Granted     uint64 // leases handed out (first claims and expiry reclaims)
 	Done        uint64 // claims settled with result bytes
 	Failed      uint64 // claims settled with an error
 	Duplicate   uint64 // terminal reports discarded because the claim had settled
-	Contention  uint64 // hedge grants: a second worker claimed a live lease
 	Expirations uint64 // leases that expired and went back to pending
-	HedgesWon   uint64 // settles where the hedge's attempt reported first
 }
 
 // ClaimView is one entry of GET /cluster/claims.
@@ -80,14 +77,29 @@ type ClaimView struct {
 	ExpiresMs int64  `json:"claim_expires_at,omitempty"`
 }
 
+// WorkerView is one visible worker in GET /cluster/workers.
+type WorkerView struct {
+	ID         string `json:"id"`
+	LastSeenMs int64  `json:"last_seen_ms"` // ms since the worker was last seen
+}
+
 // ClaimTable is the shared dispatch state: jobs enter pending, workers
 // claim them under a lease, and terminal reports settle them. It is the
 // only coordination primitive on the dispatch path — liveness is
-// enforced purely by lease expiry, never by the failure detector.
+// enforced purely by lease expiry — and the coordinator's only record
+// of workers: a worker is visible while it was last seen within one
+// lease.
 type ClaimTable struct {
 	mu      sync.Mutex
 	entries map[string]*claimEntry
 	order   []string // FIFO claim order; prune keeps it in step with entries
+
+	// seen is each worker's last contact: refreshed by its polls, renewals
+	// and reports, and by any lease naming it (at the lease's grant or
+	// last renewal, expires − lease), so a worker holding an unexpired
+	// lease is seen within one lease. SweepLeases prunes workers silent
+	// for longer.
+	seen map[string]time.Time
 
 	now         func() time.Time
 	lease       time.Duration
@@ -114,11 +126,44 @@ type ClaimTable struct {
 func newClaimTable(now func() time.Time, lease time.Duration, maxAttempts int) *ClaimTable {
 	return &ClaimTable{
 		entries:     make(map[string]*claimEntry),
+		seen:        make(map[string]time.Time),
 		now:         now,
 		lease:       lease,
 		maxAttempts: maxAttempts,
 		notify:      make(chan struct{}),
 	}
+}
+
+// seenLocked records that worker was alive at at, keeping the latest
+// sighting. Callers hold t.mu.
+func (t *ClaimTable) seenLocked(worker string, at time.Time) {
+	if worker != "" && at.After(t.seen[worker]) {
+		t.seen[worker] = at
+	}
+}
+
+// visibleLocked reports whether a worker last seen at seen is still
+// visible at now: within one lease, the same bound lease expiry uses.
+// Callers hold t.mu.
+func (t *ClaimTable) visibleLocked(seen, now time.Time) bool {
+	return !now.After(seen.Add(t.lease))
+}
+
+// Workers lists the visible workers, sorted by id.
+func (t *ClaimTable) Workers() []WorkerView {
+	now := t.now()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]WorkerView, 0, len(t.seen))
+	for id, at := range t.seen {
+		if t.visibleLocked(at, now) {
+			// A peer clock running ahead can date a replicated sighting
+			// slightly in the future; report that as just seen.
+			out = append(out, WorkerView{ID: id, LastSeenMs: max(0, now.Sub(at).Milliseconds())})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // wait returns a channel that is closed the next time the table gains
@@ -194,8 +239,6 @@ func (t *ClaimTable) Enqueue(key, label, tenant string, priority int, spec json.
 			e.claimedBy = ""
 			e.expires = time.Time{}
 			e.attempt = 0
-			e.hedged = false
-			e.hedgeAttempt = 0
 			e.errMsg = ""
 			e.result = nil
 			e.settledAt = time.Time{}
@@ -231,40 +274,31 @@ func (t *ClaimTable) Enqueue(key, label, tenant string, priority int, spec json.
 	return ch
 }
 
-// Claim hands worker the best claimable job, if any: a pending entry,
-// a claimed entry whose lease expired, or a hedgeable entry held by a
-// different worker. Higher priority classes are served first; within a
-// class the oldest claimable entry wins, so fleet dispatch preserves
-// the coordinator's fair-scheduler ordering. The grant bumps the
-// attempt; a lease that would exceed the attempt budget settles the
-// entry as failed instead (hedge grants just skip — the primary lease
-// is still live).
+// Claim hands worker the best claimable job, if any: a pending entry or
+// a claimed entry whose lease expired. Higher priority classes are
+// served first; within a class the oldest claimable entry wins, so
+// fleet dispatch preserves the coordinator's fair-scheduler ordering.
+// The grant bumps the attempt; a lease that would exceed the attempt
+// budget settles the entry as failed instead. Every call, granted or
+// not, counts as a sighting of worker.
 func (t *ClaimTable) Claim(worker string) (ClaimGrant, bool) {
 	now := t.now()
 	t.mu.Lock()
+	t.seenLocked(worker, now)
 	var recs []store.Record
 	var failedAny bool
 	var best *claimEntry
-	bestHedge, bestExpired := false, false
+	bestExpired := false
 	for _, key := range t.order {
 		e := t.entries[key]
 		if e == nil || e.terminal() {
 			continue
 		}
-		hedge, expired := false, false
-		switch {
-		case e.state == ClaimPending:
-		case e.state == ClaimClaimed && now.After(e.expires):
-			expired = true
-		case e.state == ClaimClaimed && e.hedged && e.claimedBy != worker:
-			hedge = true
-		default:
+		expired := e.state == ClaimClaimed && now.After(e.expires)
+		if e.state != ClaimPending && !expired {
 			continue
 		}
 		if e.attempt+1 > t.maxAttempts {
-			if hedge {
-				continue // primary lease still live; just don't hedge
-			}
 			if expired {
 				t.ctr.Expirations++
 			}
@@ -280,7 +314,7 @@ func (t *ClaimTable) Claim(worker string) (ClaimGrant, bool) {
 			continue
 		}
 		if best == nil || e.priority > best.priority {
-			best, bestHedge, bestExpired = e, hedge, expired
+			best, bestExpired = e, expired
 		}
 	}
 	if best == nil {
@@ -298,11 +332,6 @@ func (t *ClaimTable) Claim(worker string) (ClaimGrant, bool) {
 	e.state = ClaimClaimed
 	e.claimedBy = worker
 	e.expires = now.Add(t.lease)
-	if bestHedge {
-		e.hedged = false
-		e.hedgeAttempt = e.attempt
-		t.ctr.Contention++
-	}
 	t.ctr.Granted++
 	grant := ClaimGrant{
 		Key:      e.key,
@@ -321,10 +350,11 @@ func (t *ClaimTable) Claim(worker string) (ClaimGrant, bool) {
 
 // Renew extends worker's lease on key. It succeeds only while the lease
 // is still this worker's at this attempt — a superseded claimant learns
-// its lease is gone and stops renewing.
+// its lease is gone and stops renewing. Either way the worker is seen.
 func (t *ClaimTable) Renew(worker, key string, attempt int) bool {
 	now := t.now()
 	t.mu.Lock()
+	t.seenLocked(worker, now)
 	e := t.entries[key]
 	ok := e != nil && e.state == ClaimClaimed && e.claimedBy == worker && e.attempt == attempt
 	var rec store.Record
@@ -342,9 +372,12 @@ func (t *ClaimTable) Renew(worker, key string, attempt int) bool {
 // Report settles key with a terminal state. First terminal report wins
 // regardless of attempt — determinism makes every copy's bytes
 // identical, so a "late" report from a superseded lease is as good as
-// the current one. Returns false for duplicates (already settled).
-func (t *ClaimTable) Report(worker, key string, attempt int, state string, result []byte, errMsg string) bool {
+// the current one. Returns false for duplicates (already settled). The
+// reporter is seen either way.
+func (t *ClaimTable) Report(worker, key, state string, result []byte, errMsg string) bool {
+	now := t.now()
 	t.mu.Lock()
+	t.seenLocked(worker, now)
 	e := t.entries[key]
 	if e == nil || e.terminal() {
 		t.ctr.Duplicate++
@@ -352,9 +385,6 @@ func (t *ClaimTable) Report(worker, key string, attempt int, state string, resul
 		return false
 	}
 	t.settleLocked(e, state, result, errMsg, true)
-	if e.hedgeAttempt != 0 && attempt == e.hedgeAttempt {
-		t.ctr.HedgesWon++
-	}
 	rec := e.record()
 	res := e.result
 	t.mu.Unlock()
@@ -398,27 +428,18 @@ func (t *ClaimTable) Result(key string) (result []byte, errMsg string, ok bool) 
 	return e.result, e.errMsg, true
 }
 
-// MarkHedgeable flags key so a second worker may claim it concurrently.
-// The coordinator calls this when a claim is outstanding past the
-// per-label hedge threshold.
-func (t *ClaimTable) MarkHedgeable(key string) bool {
-	t.mu.Lock()
-	e := t.entries[key]
-	ok := e != nil && e.state == ClaimClaimed && !e.hedged
-	if ok {
-		e.hedged = true
-		t.wakeLocked()
-	}
-	t.mu.Unlock()
-	return ok
-}
-
 // SweepLeases re-pends every expired lease (so parked claimers wake and
-// reclaim it) and prunes terminal entries older than terminalRetain.
-// Returns how many leases expired this sweep.
+// reclaim it), prunes terminal entries older than terminalRetain, and
+// forgets workers no longer visible. Returns how many leases expired
+// this sweep.
 func (t *ClaimTable) SweepLeases() int {
 	now := t.now()
 	t.mu.Lock()
+	for id, at := range t.seen {
+		if !t.visibleLocked(at, now) {
+			delete(t.seen, id)
+		}
+	}
 	var recs []store.Record
 	expired := 0
 	kept := t.order[:0]
@@ -436,7 +457,6 @@ func (t *ClaimTable) SweepLeases() int {
 			e.state = ClaimPending
 			e.claimedBy = ""
 			e.expires = time.Time{}
-			e.hedged = false
 			t.ctr.Expirations++
 			expired++
 			recs = append(recs, e.record())
@@ -504,6 +524,9 @@ func (t *ClaimTable) Merge(records []ClaimRecord) {
 	var stores []sinkPut // applied outside mu
 	terminalAdopted := false
 	for _, in := range records {
+		if in.State == ClaimClaimed && in.ExpiresMs > 0 {
+			t.seenLocked(in.ClaimedBy, time.UnixMilli(in.ExpiresMs).Add(-t.lease))
+		}
 		e, ok := t.entries[in.Key]
 		if !ok {
 			e = &claimEntry{
@@ -580,7 +603,6 @@ func (t *ClaimTable) Merge(records []ClaimRecord) {
 			e.attempt = in.Attempt
 			e.state = in.State
 			e.claimedBy = in.ClaimedBy
-			e.hedged = false
 			if in.State == ClaimClaimed && in.ExpiresMs > 0 {
 				e.expires = time.UnixMilli(in.ExpiresMs)
 			} else {
@@ -644,6 +666,7 @@ func (t *ClaimTable) seed(records []store.Record) {
 		}
 		if r.State == ClaimClaimed && r.ClaimExpiresAt > 0 {
 			e.expires = time.UnixMilli(r.ClaimExpiresAt)
+			t.seenLocked(r.ClaimedBy, e.expires.Add(-t.lease))
 		}
 		if e.terminal() {
 			e.settledAt = t.now()

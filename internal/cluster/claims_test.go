@@ -33,7 +33,7 @@ func TestClaimLifecycle(t *testing.T) {
 		t.Fatalf("grant = %+v", g)
 	}
 	if _, ok := tb.Claim("w2"); ok {
-		t.Fatal("second worker claimed a live lease without a hedge")
+		t.Fatal("second worker claimed a live lease")
 	}
 	if !tb.Renew("w1", key, 1) {
 		t.Fatal("holder's renew refused")
@@ -42,7 +42,7 @@ func TestClaimLifecycle(t *testing.T) {
 		t.Fatal("renew accepted for wrong worker or wrong attempt")
 	}
 
-	if !tb.Report("w1", key, 1, ClaimDone, []byte("BYTES"), "") {
+	if !tb.Report("w1", key, ClaimDone, []byte("BYTES"), "") {
 		t.Fatal("terminal report rejected")
 	}
 	select {
@@ -155,12 +155,12 @@ func TestDoubleTerminalCollapse(t *testing.T) {
 	clk.advance(2 * time.Second)
 	tb.Claim("fast") // attempt 2 reclaims
 
-	if !tb.Report("fast", key, 2, ClaimDone, []byte("SAME-BYTES"), "") {
+	if !tb.Report("fast", key, ClaimDone, []byte("SAME-BYTES"), "") {
 		t.Fatal("winning report rejected")
 	}
 	// The superseded worker's report — byte-identical by determinism —
 	// must be discarded as a duplicate, not double-settle.
-	if tb.Report("slow", key, 1, ClaimDone, []byte("SAME-BYTES"), "") {
+	if tb.Report("slow", key, ClaimDone, []byte("SAME-BYTES"), "") {
 		t.Fatal("duplicate terminal report accepted")
 	}
 	b, _, _ := tb.Result(key)
@@ -182,41 +182,12 @@ func TestSupersededReportStillWins(t *testing.T) {
 	clk.advance(2 * time.Second)
 	tb.Claim("fast")
 
-	if !tb.Report("slow", key, 1, ClaimDone, []byte("OLD-ATTEMPT"), "") {
+	if !tb.Report("slow", key, ClaimDone, []byte("OLD-ATTEMPT"), "") {
 		t.Fatal("first terminal report (old attempt) rejected")
 	}
 	b, _, ok := tb.Result(key)
 	if !ok || string(b) != "OLD-ATTEMPT" {
 		t.Fatalf("result = %q ok=%v", b, ok)
-	}
-}
-
-func TestHedgeOpensSecondClaim(t *testing.T) {
-	tb, _ := testTable(10*time.Second, 5)
-	key := claimKey(6)
-	tb.Enqueue(key, "run/CG", "default", 0, nil)
-	tb.Claim("primary")
-
-	if !tb.MarkHedgeable(key) {
-		t.Fatal("MarkHedgeable refused a live claim")
-	}
-	// The primary itself can't hedge its own lease.
-	if _, ok := tb.Claim("primary"); ok {
-		t.Fatal("holder claimed its own hedge")
-	}
-	g, ok := tb.Claim("hedger")
-	if !ok || g.Attempt != 2 {
-		t.Fatalf("hedge claim: ok=%v grant=%+v", ok, g)
-	}
-	// One hedge only: a third worker gets nothing.
-	if _, ok := tb.Claim("third"); ok {
-		t.Fatal("second hedge granted")
-	}
-
-	tb.Report("hedger", key, 2, ClaimDone, []byte("HEDGE"), "")
-	ctr := tb.Counters()
-	if ctr.Contention != 1 || ctr.HedgesWon != 1 || ctr.Done != 1 {
-		t.Fatalf("counters = %+v", ctr)
 	}
 }
 
@@ -227,7 +198,7 @@ func TestSweepLeasesRePendsAndPrunes(t *testing.T) {
 	tb.Claim("w1")
 	tb.Enqueue(doneKey, "run/CG", "default", 0, nil)
 	tb.Claim("w2")
-	tb.Report("w2", doneKey, 1, ClaimDone, []byte("B"), "")
+	tb.Report("w2", doneKey, ClaimDone, []byte("B"), "")
 
 	clk.advance(2 * time.Second)
 	if n := tb.SweepLeases(); n != 1 {
@@ -323,7 +294,7 @@ func TestEnqueueResurrectsFailedClaim(t *testing.T) {
 	key := claimKey(13)
 	tb.Enqueue(key, "run/CG", "default", 0, nil)
 	tb.Claim("w1")
-	tb.Report("w1", key, 1, ClaimFailed, nil, "transient crash")
+	tb.Report("w1", key, ClaimFailed, nil, "transient crash")
 
 	// A fresh submission gets a fresh claim with a reset budget.
 	done := tb.Enqueue(key, "run/CG", "default", 0, nil)

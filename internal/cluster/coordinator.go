@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/server"
@@ -17,37 +16,22 @@ import (
 
 // Config tunes a Coordinator. Zero values take the documented defaults.
 type Config struct {
-	// HeartbeatInterval is the cadence workers are told to beat at
-	// (default 1s). The sweep and replication loops run at the same
-	// cadence.
-	HeartbeatInterval time.Duration
-	// SuspectAfter marks a silent worker suspect (default 3×interval);
-	// DeadAfter declares it dead (default 10×interval). The registry is
-	// visibility only — lease expiry, not the failure detector, is what
-	// recovers work from a dead worker.
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
+	// SyncInterval is the cadence of the lease sweep, the replication
+	// pushes and the dispatch watchdog (default 1s).
+	SyncInterval time.Duration
 	// LeaseDuration is how long a claim grant lives without a renewal
-	// (default 10s). Workers renew at a third of this.
+	// (default 10s). Workers renew at a third of this. It is also the
+	// visibility window: a worker not seen for longer is not counted.
 	LeaseDuration time.Duration
 	// ClaimWait caps how long POST /cluster/claims holds a long-poll open
 	// (default 2s). Workers may ask for less, never more.
 	ClaimWait time.Duration
-	// MaxAttempts bounds how many leases a single job may be granted,
-	// counting the first claim, expiry reclaims, and hedges (default 3).
-	// Determinism makes every extra copy safe; the budget just bounds
-	// the work.
+	// MaxAttempts bounds how many leases a single job may be granted:
+	// the first claim plus expiry reclaims (default 3). Determinism makes
+	// every extra copy safe; the budget just bounds the work.
 	MaxAttempts int
-	// HedgeAfter, when positive, is a fixed straggler threshold: any
-	// claim outstanding longer becomes claimable by a second worker. When
-	// zero the threshold is data-driven — the HedgePercentile (default
-	// 0.95) of recent completion latencies for the same job label, times
-	// 1.5 — and no hedging happens until enough completions have been
-	// observed.
-	HedgeAfter      time.Duration
-	HedgePercentile float64
 	// Peers are the other coordinators' base URLs. The claim table is
-	// replicated to each of them every heartbeat interval (and on every
+	// replicated to each of them every sync interval (and on every
 	// mutation), leader-lessly.
 	Peers []string
 	// BreakerFailures is how many consecutive replication failures open a
@@ -56,7 +40,7 @@ type Config struct {
 	// cooldown is a half-open probe whose outcome closes or re-opens it.
 	BreakerFailures int
 	// BreakerCooldown is how long an open breaker waits before probing
-	// (default 10× the heartbeat interval).
+	// (default 10× the sync interval).
 	BreakerCooldown time.Duration
 	// MaxReplicationLag, when positive, arms backpressure: if every
 	// peer's last successful replication push is older than this, the
@@ -80,21 +64,15 @@ type Config struct {
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
 	// Now is the clock (default time.Now); tests inject a fake to drive
-	// lease expiry and the failure detector without waiting.
+	// lease expiry and worker visibility without waiting.
 	Now func() time.Time
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3 * c.HeartbeatInterval
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 10 * c.HeartbeatInterval
+	if c.SyncInterval <= 0 {
+		c.SyncInterval = time.Second
 	}
 	if c.LeaseDuration <= 0 {
 		c.LeaseDuration = 10 * time.Second
@@ -105,14 +83,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
-	if c.HedgePercentile <= 0 || c.HedgePercentile >= 1 {
-		c.HedgePercentile = 0.95
-	}
 	if c.BreakerFailures <= 0 {
 		c.BreakerFailures = 5
 	}
 	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10 * c.HeartbeatInterval
+		c.BreakerCooldown = 10 * c.SyncInterval
 	}
 	if c.SelfID == "" {
 		c.SelfID = "coordinator"
@@ -129,19 +104,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Coordinator serves the claim table: it keeps the worker registry for
-// visibility, answers the /cluster/* API (including the claim
-// endpoints workers long-poll), replicates claim state to peer
-// coordinators, and implements server.Cluster so a slipd server can
-// plug it in as its dispatch backend.
+// Coordinator serves the claim table: it answers the /cluster/* API
+// (including the claim endpoints workers long-poll), replicates claim
+// state to peer coordinators, and implements server.Cluster so a slipd
+// server can plug it in as its dispatch backend.
 type Coordinator struct {
 	cfg   Config
-	reg   *Registry
-	lat   *latencyTracker
 	table *ClaimTable
 	peers []*peerLink
-
-	hedgesStarted uint64 // atomic
 
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -154,8 +124,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	co := &Coordinator{
 		cfg:   cfg,
-		reg:   newRegistry(cfg.SuspectAfter, cfg.DeadAfter, cfg.Now),
-		lat:   newLatencyTracker(cfg.HedgePercentile),
 		table: newClaimTable(cfg.Now, cfg.LeaseDuration, cfg.MaxAttempts),
 		quit:  make(chan struct{}),
 	}
@@ -217,16 +185,13 @@ func (co *Coordinator) Close() {
 
 func (co *Coordinator) sweepLoop() {
 	defer co.wg.Done()
-	t := time.NewTicker(co.cfg.HeartbeatInterval)
+	t := time.NewTicker(co.cfg.SyncInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-co.quit:
 			return
 		case <-t.C:
-			for _, id := range co.reg.sweep() {
-				co.cfg.Logf("cluster: worker %s declared dead (no heartbeat for %s)", id, co.cfg.DeadAfter)
-			}
 			if n := co.table.SweepLeases(); n > 0 {
 				co.cfg.Logf("cluster: %d lease(s) expired, claims back to pending", n)
 			}
@@ -236,22 +201,17 @@ func (co *Coordinator) sweepLoop() {
 
 // Stats implements server.Cluster.
 func (co *Coordinator) Stats() server.ClusterStats {
-	live, suspect, dead := co.reg.counts()
+	workers := len(co.table.Workers())
 	ctr := co.table.Counters()
 	s := server.ClusterStats{
 		Role:             "coordinator",
-		Live:             live,
-		Suspect:          suspect,
-		Dead:             dead,
+		Workers:          workers,
 		ClaimsGranted:    ctr.Granted,
 		ClaimsCompleted:  ctr.Done,
 		ClaimsFailed:     ctr.Failed,
 		ClaimsDuplicate:  ctr.Duplicate,
-		ClaimContention:  ctr.Contention,
 		LeaseExpirations: ctr.Expirations,
-		HedgesStarted:    atomic.LoadUint64(&co.hedgesStarted),
-		HedgesWon:        ctr.HedgesWon,
-		Degraded:         live+suspect == 0,
+		Degraded:         workers == 0,
 	}
 	now := co.cfg.Now()
 	for _, p := range co.peers {
@@ -266,34 +226,14 @@ func (co *Coordinator) Stats() server.ClusterStats {
 
 // Handler serves the worker-facing cluster API:
 //
-//	POST /cluster/register          — a worker announces itself
-//	POST /cluster/heartbeat         — periodic liveness-and-load report
 //	POST /cluster/claims            — long-poll to claim a job under a lease
 //	POST /cluster/claims/renew      — extend a held lease
 //	POST /cluster/claims/report     — terminal report (result bytes or error)
 //	POST /cluster/claims/replicate  — peer coordinator reconciliation
 //	GET  /cluster/claims            — claim table view for operators and drills
-//	GET  /cluster/workers           — fleet view for operators and drills
+//	GET  /cluster/workers           — visible workers for operators and drills
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /cluster/register", func(w http.ResponseWriter, r *http.Request) {
-		m, err := DecodeRegister(r.Body)
-		if err != nil {
-			clusterError(w, http.StatusBadRequest, err)
-			return
-		}
-		co.reg.register(m)
-		co.cfg.Logf("cluster: worker %s registered at %s (capacity %d)", m.ID, m.Addr, m.Capacity)
-		writeClusterJSON(w, http.StatusOK, RegisterAck{OK: true, HeartbeatMillis: co.cfg.HeartbeatInterval.Milliseconds()})
-	})
-	mux.HandleFunc("POST /cluster/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		m, err := DecodeHeartbeat(r.Body)
-		if err != nil {
-			clusterError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeClusterJSON(w, http.StatusOK, HeartbeatAck{Registered: co.reg.heartbeat(m)})
-	})
 	mux.HandleFunc("POST /cluster/claims", func(w http.ResponseWriter, r *http.Request) {
 		m, err := DecodeClaimRequest(r.Body)
 		if err != nil {
@@ -342,7 +282,7 @@ func (co *Coordinator) Handler() http.Handler {
 			clusterError(w, http.StatusBadRequest, err)
 			return
 		}
-		accepted := co.table.Report(m.Worker, m.Key, m.Attempt, m.State, m.Result, m.Error)
+		accepted := co.table.Report(m.Worker, m.Key, m.State, m.Result, m.Error)
 		if accepted {
 			co.cfg.Logf("cluster: claim %s settled %s by worker %s (attempt %d)", m.Key[:12], m.State, m.Worker, m.Attempt)
 		}
@@ -362,7 +302,7 @@ func (co *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /cluster/workers", func(w http.ResponseWriter, r *http.Request) {
 		writeClusterJSON(w, http.StatusOK, map[string]any{
-			"workers":  co.reg.views(),
+			"workers":  co.table.Workers(),
 			"degraded": co.Stats().Degraded,
 		})
 	})
@@ -373,35 +313,25 @@ func (co *Coordinator) Handler() http.Handler {
 // table and wait for a worker to claim and settle it. Liveness comes
 // from leases — if the claiming worker dies, the lease expires and the
 // next claimer re-executes; if this whole coordinator dies, a peer's
-// copy of the claim serves the job to completion. A claim outstanding
-// past the per-label hedge threshold is opened to a second claimant,
-// first terminal result wins. Returns server.ErrNoWorkers when the
-// fleet is empty (the server then executes locally in degraded mode).
+// copy of the claim serves the job to completion. Returns
+// server.ErrNoWorkers when no worker is visible (the server then
+// executes locally in degraded mode).
 func (co *Coordinator) Dispatch(ctx context.Context, key, label, tenant string, priority int, spec server.JobSpec, progress io.Writer) ([]byte, error) {
-	if live, suspect, _ := co.reg.counts(); live+suspect == 0 {
+	if len(co.table.Workers()) == 0 {
 		return nil, server.ErrNoWorkers
 	}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return nil, fmt.Errorf("marshal spec for claim: %w", err)
 	}
-	start := co.cfg.Now()
 	done := co.table.Enqueue(key, label, tenant, priority, specJSON)
 	fmt.Fprintf(progress, "cluster: enqueued for claim (key %s…)\n", key[:12])
-
-	// Arm the hedge timer if we have a straggler threshold for this label.
-	var hedgeC <-chan time.Time
-	if th, ok := co.hedgeThreshold(label); ok {
-		t := time.NewTimer(th)
-		defer t.Stop()
-		hedgeC = t.C
-	}
 
 	// Watchdog: if every worker disappears while the claim is open, fall
 	// back to local execution rather than waiting on a lease nobody will
 	// ever take. The entry stays in the table; determinism makes a
 	// late-returning worker's duplicate execution harmless.
-	watch := time.NewTicker(co.cfg.HeartbeatInterval)
+	watch := time.NewTicker(co.cfg.SyncInterval)
 	defer watch.Stop()
 
 	for {
@@ -409,15 +339,8 @@ func (co *Coordinator) Dispatch(ctx context.Context, key, label, tenant string, 
 		case <-ctx.Done():
 			return nil, ctx.Err()
 
-		case <-hedgeC:
-			hedgeC = nil // at most one hedge per dispatch
-			if co.table.MarkHedgeable(key) {
-				atomic.AddUint64(&co.hedgesStarted, 1)
-				fmt.Fprintf(progress, "cluster: straggler — claim opened to a hedge worker\n")
-			}
-
 		case <-watch.C:
-			if live, suspect, _ := co.reg.counts(); live+suspect == 0 {
+			if len(co.table.Workers()) == 0 {
 				fmt.Fprintf(progress, "cluster: fleet lost mid-claim, falling back\n")
 				return nil, server.ErrNoWorkers
 			}
@@ -430,7 +353,6 @@ func (co *Coordinator) Dispatch(ctx context.Context, key, label, tenant string, 
 			if errMsg != "" {
 				return nil, errors.New(errMsg)
 			}
-			co.lat.observe(label, co.cfg.Now().Sub(start))
 			return result, nil
 		}
 	}
@@ -444,18 +366,9 @@ func (co *Coordinator) ClaimViews() []ClaimView {
 }
 
 // ClaimCounters exports the table's lifetime counters for harness
-// assertions (lease expirations, duplicate reports, hedges).
+// assertions (grants, lease expirations, duplicate reports).
 func (co *Coordinator) ClaimCounters() ClaimCounters {
 	return co.table.Counters()
-}
-
-// hedgeThreshold picks the straggler threshold for a label: the fixed
-// override if configured, else the data-driven percentile.
-func (co *Coordinator) hedgeThreshold(label string) (time.Duration, bool) {
-	if co.cfg.HedgeAfter > 0 {
-		return co.cfg.HedgeAfter, true
-	}
-	return co.lat.threshold(label)
 }
 
 // writeClusterJSON / clusterError are the package's tiny response

@@ -23,8 +23,8 @@ const runSpecBody = `{"kind":"run","kernel":"CG","nodes":4}`
 // clock) by hand.
 func fastCfg(clk *fakeClock) Config {
 	cfg := Config{
-		HeartbeatInterval: time.Hour,
-		ClaimWait:         100 * time.Millisecond,
+		SyncInterval: time.Hour,
+		ClaimWait:    100 * time.Millisecond,
 	}
 	if clk != nil {
 		cfg.Now = clk.now
@@ -74,11 +74,28 @@ func reportClaim(t *testing.T, coURL string, rep ClaimReport) bool {
 }
 
 func TestDispatchNoWorkers(t *testing.T) {
-	co := NewCoordinator(fastCfg(newFakeClock()))
+	clk := newFakeClock()
+	co := NewCoordinator(fastCfg(clk))
 	defer co.Close()
-	_, err := co.Dispatch(context.Background(), testKey, "run/CG", "default", 0, server.JobSpec{}, io.Discard)
+	// The watchdog is parked, so only the up-front check can answer
+	// before the deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err := co.Dispatch(ctx, testKey, "run/CG", "default", 0, server.JobSpec{}, io.Discard)
 	if !errors.Is(err, server.ErrNoWorkers) {
-		t.Fatalf("Dispatch with empty registry: %v, want ErrNoWorkers", err)
+		t.Fatalf("Dispatch with no worker ever seen: %v, want ErrNoWorkers", err)
+	}
+
+	// A worker that polled, then fell silent for longer than one lease,
+	// is out of sight again.
+	co.table.Claim("w1")
+	clk.advance(co.cfg.LeaseDuration + time.Millisecond)
+	_, err = co.Dispatch(ctx, testKey, "run/CG", "default", 0, server.JobSpec{}, io.Discard)
+	if !errors.Is(err, server.ErrNoWorkers) {
+		t.Fatalf("Dispatch after a lease of silence: %v, want ErrNoWorkers", err)
+	}
+	if _, _, ok := co.table.Result(testKey); ok || len(co.table.Views()) != 0 {
+		t.Fatalf("a dispatch refused for want of workers left a claim behind: %+v", co.table.Views())
 	}
 }
 
@@ -88,7 +105,7 @@ func TestDispatchClaimRoundTrip(t *testing.T) {
 	defer co.Close()
 	ts := httptest.NewServer(co.Handler())
 	defer ts.Close()
-	co.reg.register(Register{ID: "w1", Addr: "http://w1", Capacity: 2})
+	claimOnce(t, ts.URL, "w1", 0) // an empty poll makes w1 visible
 
 	type res struct {
 		b   []byte
@@ -138,7 +155,7 @@ func TestDispatchDeterministicFailurePropagates(t *testing.T) {
 	defer co.Close()
 	ts := httptest.NewServer(co.Handler())
 	defer ts.Close()
-	co.reg.register(Register{ID: "w1", Addr: "http://w1", Capacity: 2})
+	claimOnce(t, ts.URL, "w1", 0)
 
 	errc := make(chan error, 1)
 	go func() {
@@ -157,65 +174,6 @@ func TestDispatchDeterministicFailurePropagates(t *testing.T) {
 	}
 	if st := co.Stats(); st.ClaimsFailed != 1 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestDispatchHedgeWins(t *testing.T) {
-	cfg := fastCfg(nil) // real clock: the hedge timer and lease run on it
-	cfg.HedgeAfter = 20 * time.Millisecond
-	cfg.LeaseDuration = time.Hour // the straggler's lease never expires
-	co := NewCoordinator(cfg)
-	defer co.Close()
-	ts := httptest.NewServer(co.Handler())
-	defer ts.Close()
-	co.reg.register(Register{ID: "a", Addr: "http://a", Capacity: 2})
-	co.reg.register(Register{ID: "b", Addr: "http://b", Capacity: 2})
-
-	type res struct {
-		b   []byte
-		err error
-	}
-	done := make(chan res, 1)
-	go func() {
-		b, err := co.Dispatch(context.Background(), testKey, "run/CG", "default", 0, server.JobSpec{}, io.Discard)
-		done <- res{b, err}
-	}()
-
-	// Worker a claims first and stalls forever.
-	waitFor(t, 10*time.Second, func() bool {
-		_, ok := claimOnce(t, ts.URL, "a", 50)
-		return ok
-	}, "primary claim never granted")
-
-	// Past HedgeAfter the claim opens to worker b.
-	var hedge ClaimGrant
-	waitFor(t, 10*time.Second, func() bool {
-		var ok bool
-		hedge, ok = claimOnce(t, ts.URL, "b", 50)
-		return ok
-	}, "hedge claim never opened")
-	if hedge.Attempt != 2 {
-		t.Fatalf("hedge grant = %+v", hedge)
-	}
-	if !reportClaim(t, ts.URL, ClaimReport{Worker: "b", Key: testKey, Attempt: hedge.Attempt, State: ClaimDone, Result: []byte("HEDGE-WON")}) {
-		t.Fatal("hedge report rejected")
-	}
-
-	r := <-done
-	if r.err != nil || string(r.b) != "HEDGE-WON" {
-		t.Fatalf("hedged dispatch = %q, %v", r.b, r.err)
-	}
-	st := co.Stats()
-	if st.HedgesStarted != 1 || st.HedgesWon != 1 || st.ClaimContention != 1 {
-		t.Fatalf("hedge counters: %+v", st)
-	}
-
-	// The straggler's late, byte-identical report is a duplicate.
-	if reportClaim(t, ts.URL, ClaimReport{Worker: "a", Key: testKey, Attempt: 1, State: ClaimDone, Result: []byte("HEDGE-WON")}) {
-		t.Fatal("straggler's duplicate report accepted")
-	}
-	if st := co.Stats(); st.ClaimsDuplicate != 1 {
-		t.Fatalf("duplicate not counted: %+v", st)
 	}
 }
 
@@ -259,9 +217,8 @@ func TestClaimerVersionSkew(t *testing.T) {
 	defer co.Close()
 	ts := httptest.NewServer(co.Handler())
 	defer ts.Close()
-	co.reg.register(Register{ID: "w1", Addr: "http://w1", Capacity: 1})
 
-	c := StartClaimer(ClaimerConfig{
+	c, err := StartClaimer(ClaimerConfig{
 		Coordinators: []string{ts.URL},
 		ID:           "w1",
 		PollWait:     50 * time.Millisecond,
@@ -271,9 +228,13 @@ func TestClaimerVersionSkew(t *testing.T) {
 			return nil, nil
 		},
 	})
+	if err != nil {
+		t.Fatalf("StartClaimer: %v", err)
+	}
 	defer c.Stop()
+	waitFor(t, 10*time.Second, func() bool { return co.Stats().Workers == 1 }, "claimer never polled")
 
-	_, err := co.Dispatch(context.Background(), testKey, "run/CG", "default", 0, server.JobSpec{}, io.Discard)
+	_, err = co.Dispatch(context.Background(), testKey, "run/CG", "default", 0, server.JobSpec{}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "version skew") {
 		t.Fatalf("Dispatch err = %v, want version-skew failure", err)
 	}
@@ -302,8 +263,8 @@ func coordinatorServer(t *testing.T, cfg Config) (*Coordinator, *server.Server, 
 }
 
 // startWorker builds a real slipd worker the way cmd/slipd does: a
-// plain server, a membership agent per coordinator, and a claimer that
-// executes granted specs through the normal submission machinery.
+// plain server and a claimer that executes granted specs through the
+// normal submission machinery.
 func startWorker(t *testing.T, id string, coURLs []string) *server.Server {
 	t.Helper()
 	srv := server.New(server.Config{})
@@ -312,21 +273,7 @@ func startWorker(t *testing.T, id string, coURLs []string) *server.Server {
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	for _, u := range coURLs {
-		a, err := StartAgent(AgentConfig{
-			Coordinator: u,
-			ID:          id,
-			Advertise:   "http://" + id + ".invalid",
-			Capacity:    2,
-			Load:        srv.Load,
-			Interval:    25 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("StartAgent: %v", err)
-		}
-		t.Cleanup(a.Stop)
-	}
-	c := StartClaimer(ClaimerConfig{
+	c, err := StartClaimer(ClaimerConfig{
 		Coordinators: coURLs,
 		ID:           id,
 		Slots:        2,
@@ -340,6 +287,9 @@ func startWorker(t *testing.T, id string, coURLs []string) *server.Server {
 			return srv.Await(ctx, view.ID)
 		},
 	})
+	if err != nil {
+		t.Fatalf("StartClaimer: %v", err)
+	}
 	t.Cleanup(c.Stop)
 	return srv
 }
@@ -408,16 +358,16 @@ func referenceRun(t *testing.T, spec string) string {
 func TestFleetEndToEnd(t *testing.T) {
 	want := referenceRun(t, runSpecBody)
 
-	cfg := Config{HeartbeatInterval: 25 * time.Millisecond, ClaimWait: 100 * time.Millisecond}
+	cfg := Config{SyncInterval: 25 * time.Millisecond, ClaimWait: 100 * time.Millisecond}
 	co, _, cts := coordinatorServer(t, cfg)
 
 	w1 := startWorker(t, "worker-0", []string{cts.URL})
 	w2 := startWorker(t, "worker-1", []string{cts.URL})
 
-	// Both workers enroll via the real register/heartbeat HTTP path.
+	// Both workers become visible through their claim polls.
 	waitFor(t, 10*time.Second, func() bool {
-		return co.Stats().Live == 2
-	}, "workers never enrolled")
+		return co.Stats().Workers == 2
+	}, "workers never became visible")
 
 	// A job submitted to the coordinator is claimed by a worker and
 	// returns byte-identical results.
@@ -457,13 +407,19 @@ func TestFleetEndToEnd(t *testing.T) {
 		t.Fatalf("coordinator /results/{key}: HTTP %d %q", status, byKey)
 	}
 
-	// Fleet observability: metrics gauges and a healthy readyz.
+	// Fleet observability: metrics gauges and a healthy readyz. A clean
+	// fleet has no legal source of lease expirations or duplicate
+	// terminal reports.
 	metrics, _ := getBody(t, cts.URL+"/metrics")
-	if !strings.Contains(metrics, `slipd_workers{state="live"} 2`) {
-		t.Fatalf("metrics missing live worker gauge:\n%s", metrics)
-	}
-	if !strings.Contains(metrics, `slipd_claims_total{outcome="done"} 1`) {
-		t.Fatalf("metrics missing settled claim counter:\n%s", metrics)
+	for _, want := range []string{
+		"slipd_workers 2",
+		`slipd_claims_total{outcome="done"} 1`,
+		`slipd_claims_total{outcome="duplicate"} 0`,
+		"slipd_lease_expirations_total 0",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("metrics missing %q:\n%s", want, metrics)
+		}
 	}
 	ready, status := getBody(t, cts.URL+"/readyz")
 	if status != http.StatusOK || !strings.Contains(ready, `"degraded":false`) || !strings.Contains(ready, `"role":"coordinator"`) {
@@ -478,7 +434,7 @@ func TestFleetEndToEnd(t *testing.T) {
 func TestCoordinatorDegradedLocalFallback(t *testing.T) {
 	want := referenceRun(t, runSpecBody)
 
-	cfg := Config{HeartbeatInterval: 25 * time.Millisecond, ClaimWait: 100 * time.Millisecond}
+	cfg := Config{SyncInterval: 25 * time.Millisecond, ClaimWait: 100 * time.Millisecond}
 	_, srv, cts := coordinatorServer(t, cfg)
 
 	// Zero workers: the coordinator must still answer, locally.
@@ -514,8 +470,8 @@ func TestCoordinatorDegradedLocalFallback(t *testing.T) {
 		t.Fatalf("readyz in degraded mode: HTTP %d %s", status, ready)
 	}
 	metrics, _ := getBody(t, cts.URL+"/metrics")
-	if !strings.Contains(metrics, `slipd_workers{state="live"} 0`) {
-		t.Fatalf("metrics missing zero live gauge:\n%s", metrics)
+	if !strings.Contains(metrics, "slipd_workers 0") {
+		t.Fatalf("metrics missing zero worker gauge:\n%s", metrics)
 	}
 	if !strings.Contains(metrics, "slipd_local_fallbacks_total 1") {
 		t.Fatalf("metrics missing local fallback counter:\n%s", metrics)
@@ -559,11 +515,11 @@ func TestTwoCoordinatorFailover(t *testing.T) {
 
 	mkCfg := func(self, peer string) Config {
 		return Config{
-			HeartbeatInterval: 25 * time.Millisecond,
-			LeaseDuration:     250 * time.Millisecond,
-			ClaimWait:         100 * time.Millisecond,
-			SelfID:            self,
-			Peers:             []string{peer},
+			SyncInterval:  25 * time.Millisecond,
+			LeaseDuration: 250 * time.Millisecond,
+			ClaimWait:     100 * time.Millisecond,
+			SelfID:        self,
+			Peers:         []string{peer},
 		}
 	}
 	coA := NewCoordinator(mkCfg("co-a", tsB.URL))
@@ -571,11 +527,11 @@ func TestTwoCoordinatorFailover(t *testing.T) {
 	defer coB.Close()
 	hA.set(coA.Handler())
 	hB.set(coB.Handler())
-	coA.reg.register(Register{ID: "w1", Addr: "http://w1", Capacity: 1})
-	coB.reg.register(Register{ID: "w2", Addr: "http://w2", Capacity: 1})
 
-	// With both peers up and a live worker each, neither is degraded.
+	// With both peers up and a polling worker each, neither is degraded.
 	waitFor(t, 10*time.Second, func() bool {
+		claimOnce(t, tsA.URL, "w1", 0)
+		claimOnce(t, tsB.URL, "w2", 0)
 		return !coA.Stats().Degraded && !coB.Stats().Degraded
 	}, "peered coordinators never became healthy")
 
@@ -635,41 +591,4 @@ func TestTwoCoordinatorFailover(t *testing.T) {
 		s := coB.Stats()
 		return s.Degraded && len(s.Peers) == 1 && !s.Peers[0].Reachable
 	}, "survivor never marked the dead peer unreachable")
-}
-
-func TestAgentReRegistersAfterDeadVerdict(t *testing.T) {
-	co := NewCoordinator(Config{HeartbeatInterval: 10 * time.Millisecond})
-	defer co.Close()
-	ts := httptest.NewServer(co.Handler())
-	defer ts.Close()
-
-	a, err := StartAgent(AgentConfig{
-		Coordinator: ts.URL,
-		ID:          "w1",
-		Advertise:   "http://127.0.0.1:1",
-		Capacity:    3,
-		Load:        func() (int, int) { return 0, 0 },
-		Interval:    10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("StartAgent: %v", err)
-	}
-	defer a.Stop()
-
-	waitFor(t, 5*time.Second, func() bool { return co.Stats().Live == 1 }, "agent never registered")
-
-	// The coordinator declares the worker dead (as after a long GC pause
-	// or partition); the next heartbeat ack sends the agent back to
-	// register, and the fleet heals with a fresh live handle.
-	co.reg.mu.Lock()
-	old := co.reg.workers["w1"]
-	old.state = WorkerDead
-	co.reg.mu.Unlock()
-	waitFor(t, 5*time.Second, func() bool {
-		co.reg.mu.Lock()
-		w := co.reg.workers["w1"]
-		healed := w != old && w.state == WorkerLive
-		co.reg.mu.Unlock()
-		return healed
-	}, "agent never re-registered after dead verdict")
 }

@@ -7,56 +7,14 @@ import (
 	"testing"
 )
 
-// FuzzClusterWire throws arbitrary bytes at the membership decoders.
-// The decoders sit on the fleet's trust boundary — a worker can be
-// version-skewed, misconfigured, or malicious — so they must never
-// panic, and anything they accept must survive re-encode → re-decode
-// with the same validated meaning.
-func FuzzClusterWire(f *testing.F) {
-	f.Add([]byte(`{"id":"w1","addr":"http://10.0.0.7:8080","capacity":4}`))
-	f.Add([]byte(`{"id":"w1","queued":3,"running":1,"capacity":2}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(``))
-	f.Add([]byte(`{"id":"w1","capacity":1}{"id":"w2"}`))
-	f.Add([]byte(strings.Repeat("[", 1000)))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if r, err := DecodeRegister(bytes.NewReader(data)); err == nil {
-			if r.Validate() != nil {
-				t.Fatalf("DecodeRegister returned an invalid message: %+v", r)
-			}
-			b, err := json.Marshal(r)
-			if err != nil {
-				t.Fatalf("re-encode register: %v", err)
-			}
-			r2, err := DecodeRegister(bytes.NewReader(b))
-			if err != nil || r2 != r {
-				t.Fatalf("register round-trip: %+v → %+v (%v)", r, r2, err)
-			}
-		}
-		if h, err := DecodeHeartbeat(bytes.NewReader(data)); err == nil {
-			if h.Validate() != nil {
-				t.Fatalf("DecodeHeartbeat returned an invalid message: %+v", h)
-			}
-			b, err := json.Marshal(h)
-			if err != nil {
-				t.Fatalf("re-encode heartbeat: %v", err)
-			}
-			h2, err := DecodeHeartbeat(bytes.NewReader(b))
-			if err != nil || h2 != h {
-				t.Fatalf("heartbeat round-trip: %+v → %+v (%v)", h, h2, err)
-			}
-		}
-	})
-}
-
-// FuzzClaimWire does the same for the claim-path decoders: claim
-// long-polls, grants, renewals, terminal reports, and peer replication
-// batches. Grants and replication batches come from coordinators, but a
+// FuzzClaimWire throws arbitrary bytes at the claim-path decoders:
+// claim long-polls, grants, renewals, terminal reports, and peer
+// replication batches. The decoders sit on the fleet's trust boundary —
+// a worker can be version-skewed, misconfigured, or malicious, and a
 // worker in a multi-coordinator fleet can't tell a healthy coordinator
-// from a compromised or skewed one, so every message is held to the
-// same standard.
+// from a compromised or skewed one — so they must never panic, and
+// anything they accept must survive re-encode → re-decode with the same
+// validated meaning.
 func FuzzClaimWire(f *testing.F) {
 	key := strings.Repeat("ab", 32)
 	f.Add([]byte(`{"worker":"w1","wait_ms":1500}`))

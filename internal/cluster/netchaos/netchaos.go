@@ -1,11 +1,10 @@
 // Package netchaos is a seeded, deterministic network-fault layer for
 // the fleet control plane. It sits behind the injectable HTTP transport
 // every cluster component already takes (coordinator↔coordinator
-// replication, worker↔coordinator claim/renew/report, membership
-// heartbeats) and can drop, delay, duplicate, and reorder messages,
-// partition node sets, and skew a node's injectable clock — all derived,
-// in the same counter-based splitmix64 style as internal/faults, from a
-// single seed. The same seed and spec produce the same fault plan, so a
+// replication, worker↔coordinator claim/renew/report) and can drop,
+// delay, duplicate, and reorder messages, partition node sets, and skew
+// a node's injectable clock — all derived, in the same counter-based
+// splitmix64 style as internal/faults, from a single seed. The same seed and spec produce the same fault plan, so a
 // schedule that breaks an invariant in the cluster simulation harness
 // is reproduced by rerunning that one seed.
 //

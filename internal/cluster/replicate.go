@@ -141,13 +141,13 @@ func (p *peerLink) observe(now time.Time, err error, logf func(string, ...any)) 
 }
 
 // replicateLoop pushes the full claim table to every peer on each
-// heartbeat tick and on every table mutation (the kick channel). Full
+// sync tick and on every table mutation (the kick channel). Full
 // snapshots keep the protocol trivially idempotent: Merge's precedence
 // rules make reapplying old state a no-op, so there is no delta
 // bookkeeping to corrupt.
 func (co *Coordinator) replicateLoop(kick <-chan struct{}) {
 	defer co.wg.Done()
-	t := time.NewTicker(co.cfg.HeartbeatInterval)
+	t := time.NewTicker(co.cfg.SyncInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -176,7 +176,7 @@ func (co *Coordinator) replicateOnce() {
 }
 
 func (co *Coordinator) postReplicate(url string, body []byte) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*co.cfg.HeartbeatInterval)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*co.cfg.SyncInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/cluster/claims/replicate", bytes.NewReader(body))
 	if err != nil {
@@ -215,7 +215,7 @@ func (co *Coordinator) ShedNewJobs() (time.Duration, bool) {
 	if min <= co.cfg.MaxReplicationLag {
 		return 0, false
 	}
-	retry := co.cfg.HeartbeatInterval
+	retry := co.cfg.SyncInterval
 	if retry < time.Second {
 		retry = time.Second
 	}

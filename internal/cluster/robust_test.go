@@ -19,10 +19,10 @@ import (
 // per-iteration timer churn the long-poll refactor removed.
 func TestLongPollLeaksNoGoroutines(t *testing.T) {
 	co := NewCoordinator(Config{
-		HeartbeatInterval: 50 * time.Millisecond,
-		LeaseDuration:     time.Second,
-		ClaimWait:         200 * time.Millisecond,
-		Logf:              func(string, ...any) {},
+		SyncInterval:  50 * time.Millisecond,
+		LeaseDuration: time.Second,
+		ClaimWait:     200 * time.Millisecond,
+		Logf:          func(string, ...any) {},
 	})
 	defer co.Close()
 	handler := co.Handler()
@@ -114,7 +114,7 @@ func TestSkewedPeerHonorsRenewedLease(t *testing.T) {
 	}
 
 	// The holder settles; the peer adopts exactly one terminal state.
-	if !holderTbl.Report("w1", key, 1, ClaimDone, []byte("BYTES"), "") {
+	if !holderTbl.Report("w1", key, ClaimDone, []byte("BYTES"), "") {
 		t.Fatal("holder's report rejected")
 	}
 	<-holderDone

@@ -32,12 +32,10 @@ import (
 
 // Harness timing constants. The cluster's real defaults are seconds;
 // the harness compresses them ~100× so a whole schedule — including
-// lease expiries and failure-detector verdicts — fits in well under a
-// second of wall clock.
+// lease expiries and workers dropping out of sight — fits in well under
+// a second of wall clock.
 const (
-	simHeartbeat   = 10 * time.Millisecond
-	simSuspect     = 60 * time.Millisecond
-	simDead        = 150 * time.Millisecond
+	simSync        = 10 * time.Millisecond
 	simLease       = 120 * time.Millisecond
 	simClaimWait   = 25 * time.Millisecond
 	simMaxAttempts = 50 // generous: budget exhaustion must never be a legitimate outcome in a schedule
@@ -130,14 +128,15 @@ type Report struct {
 	Violations []string
 	Submitted  int
 	// ChaosInjected counts manufactured network faults; Granted,
-	// Expirations, Duplicates and Hedges aggregate the coordinators'
-	// claim counters — evidence the schedule actually exercised the
-	// recovery machinery.
+	// Expirations and Duplicates aggregate the coordinators' claim
+	// counters — evidence the schedule actually exercised the recovery
+	// machinery. Fallbacks counts scripted dispatches answered
+	// ErrNoWorkers, which bypass the claim path entirely.
 	ChaosInjected uint64
 	Granted       uint64
 	Expirations   uint64
 	Duplicates    uint64
-	Hedges        uint64
+	Fallbacks     uint64
 }
 
 // OK reports whether every invariant held.
@@ -219,9 +218,7 @@ func (n *coordNode) start() error {
 	}
 	name := n.name
 	co := cluster.NewCoordinator(cluster.Config{
-		HeartbeatInterval:        simHeartbeat,
-		SuspectAfter:             simSuspect,
-		DeadAfter:                simDead,
+		SyncInterval:             simSync,
 		LeaseDuration:            simLease,
 		ClaimWait:                simClaimWait,
 		MaxAttempts:              simMaxAttempts,
@@ -232,7 +229,7 @@ func (n *coordNode) start() error {
 		HTTPClient:               n.h.net.Client(name),
 		Now:                      n.h.net.Chaos().Clock(name),
 		BreakerFailures:          4,
-		BreakerCooldown:          6 * simHeartbeat,
+		BreakerCooldown:          6 * simSync,
 		DisableMergeTerminalWins: n.h.opts.MutateMerge && n.idx > 0,
 		Logf: func(format string, args ...any) {
 			n.h.opts.Logf("["+name+"] "+format, args...)
@@ -277,42 +274,26 @@ func (n *coordNode) snapshot() (*cluster.Coordinator, context.Context, int, bool
 	return n.co, n.ctx, n.epoch, n.alive
 }
 
-// workerNode is one worker: membership agents (one per coordinator it
-// joins) plus the claim loop. A crash flips the crashed flag — the Run
-// callback then abandons every claim, so leases expire exactly as they
-// would for a dead process — and stops the loops in the background.
+// workerNode is one worker: its claim loop. A crash flips the crashed
+// flag — the Run callback then abandons every claim, so leases expire
+// exactly as they would for a dead process — and stops the loop in the
+// background.
 type workerNode struct {
 	h       *harness
 	name    string
 	crashed atomic.Bool
 	claimer *cluster.Claimer
-	agents  []*cluster.Agent
 	stopWG  sync.WaitGroup
 }
 
 func (h *harness) startWorker(name string) (*workerNode, error) {
 	w := &workerNode{h: h, name: name}
-	client := h.net.Client(name)
-	coords := h.joinURLs()
-	for _, u := range coords {
-		a, err := cluster.StartAgent(cluster.AgentConfig{
-			Coordinator: u,
-			ID:          name,
-			Advertise:   "http://" + name,
-			Capacity:    2,
-			Load:        func() (int, int) { return 0, 0 },
-			Interval:    simHeartbeat,
-			HTTPClient:  client,
-			Logf: func(format string, args ...any) {
-				h.opts.Logf("["+name+"] "+format, args...)
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("worker %s agent: %w", name, err)
-		}
-		w.agents = append(w.agents, a)
+	var coords []string
+	for _, n := range h.joined() {
+		coords = append(coords, h.net.URL(n.name))
 	}
-	w.claimer = cluster.StartClaimer(cluster.ClaimerConfig{
+	var err error
+	w.claimer, err = cluster.StartClaimer(cluster.ClaimerConfig{
 		Coordinators: coords,
 		ID:           name,
 		Slots:        2,
@@ -321,8 +302,8 @@ func (h *harness) startWorker(name string) (*workerNode, error) {
 			if w.crashed.Load() {
 				return nil, cluster.ErrClaimAbandoned
 			}
-			// A sliver of real work keeps leases and hedges honest: claims
-			// overlap with renewals, crashes land mid-run.
+			// A sliver of real work keeps leases honest: claims overlap
+			// with renewals, crashes land mid-run.
 			time.Sleep(2 * time.Millisecond)
 			if w.crashed.Load() {
 				return nil, cluster.ErrClaimAbandoned
@@ -330,17 +311,20 @@ func (h *harness) startWorker(name string) (*workerNode, error) {
 			return render(specJSON), nil
 		},
 		PollWait:   simClaimWait,
-		HTTPClient: client,
+		HTTPClient: h.net.Client(name),
 		Logf: func(format string, args ...any) {
 			h.opts.Logf("["+name+"] "+format, args...)
 		},
 	})
+	if err != nil {
+		return nil, fmt.Errorf("worker %s: %w", name, err)
+	}
 	return w, nil
 }
 
 // crash marks the worker dead. Goroutines can't be killed, so death is
 // emulated at the semantics level: every claim it holds or wins from
-// here on is abandoned (no report, lease expires) and its loops stop in
+// here on is abandoned (no report, lease expires) and its loop stops in
 // the background.
 func (w *workerNode) crash() {
 	if w.crashed.Swap(true) {
@@ -350,9 +334,6 @@ func (w *workerNode) crash() {
 	go func() {
 		defer w.stopWG.Done()
 		w.claimer.Stop()
-		for _, a := range w.agents {
-			a.Stop()
-		}
 	}()
 }
 
@@ -360,9 +341,6 @@ func (w *workerNode) crash() {
 func (w *workerNode) stop() {
 	if !w.crashed.Swap(true) {
 		w.claimer.Stop()
-		for _, a := range w.agents {
-			a.Stop()
-		}
 	}
 	w.stopWG.Wait()
 }
@@ -381,6 +359,8 @@ type harness struct {
 	workers []*workerNode
 	retired []*workerNode // crashed workers replaced at settle; drained at teardown
 
+	fallbacks atomic.Uint64 // scripted dispatches answered ErrNoWorkers
+
 	mu         sync.Mutex
 	violations []string
 }
@@ -391,19 +371,37 @@ func (h *harness) violate(format string, args ...any) {
 	h.mu.Unlock()
 }
 
-// joinURLs is the coordinator list workers claim from: everyone, or
+// joined is the set of coordinators workers claim from: everyone, or
 // only coordinator 0 under the merge mutation (so the mutated peers can
 // learn results through replication alone — the topology that exposes a
 // broken merge instead of letting re-claims paper over it).
-func (h *harness) joinURLs() []string {
+func (h *harness) joined() []*coordNode {
 	if h.opts.PinToFirst {
-		return []string{h.net.URL(h.coords[0].name)}
+		return h.coords[:1]
 	}
-	urls := make([]string, len(h.coords))
-	for i, n := range h.coords {
-		urls[i] = h.net.URL(n.name)
+	return h.coords
+}
+
+// awaitFleet waits, as a deployment does before sending load, until
+// every coordinator the workers claim from sees all of them: a worker
+// becomes visible at its first poll there, and a dispatch finding no
+// visible worker runs locally instead of through the claim path.
+func (h *harness) awaitFleet() {
+	deadline := time.Now().Add(h.opts.SettleTimeout)
+	for _, n := range h.joined() {
+		for {
+			co, _, _, _ := n.snapshot()
+			seen := co.Stats().Workers
+			if seen == len(h.workers) {
+				break
+			}
+			if time.Now().After(deadline) {
+				h.violate("%s saw %d of %d workers after %s of set-up", n.name, seen, len(h.workers), h.opts.SettleTimeout)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
-	return urls
 }
 
 // Run executes one seeded schedule end to end and reports every
@@ -468,6 +466,7 @@ func Run(opts Options) (Report, error) {
 		}
 		h.workers = append(h.workers, w)
 	}
+	h.awaitFleet()
 
 	// Invariant monitor: watches attempt monotonicity and the budget on
 	// every live coordinator throughout the schedule.
@@ -502,11 +501,11 @@ func Run(opts Options) (Report, error) {
 			rep.Granted += ctr.Granted
 			rep.Expirations += ctr.Expirations
 			rep.Duplicates += ctr.Duplicate
-			rep.Hedges += ctr.Contention
 		}
 		n.crash()
 	}
 	rep.ChaosInjected = h.net.Chaos().Counters().Total()
+	rep.Fallbacks = h.fallbacks.Load()
 
 	h.mu.Lock()
 	rep.Violations = append(rep.Violations, h.violations...)
@@ -542,6 +541,7 @@ func (h *harness) submit(job, firstCo int, deadline time.Time) {
 			}
 			return
 		case errors.Is(err, server.ErrNoWorkers):
+			h.fallbacks.Add(1)
 			return // degraded-mode local execution; render(spec) == want by construction
 		case errors.Is(err, context.Canceled):
 			// Coordinator crashed mid-dispatch; fail over.

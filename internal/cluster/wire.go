@@ -1,17 +1,17 @@
 // Package cluster turns a set of slipd processes into a fleet: workers
-// register with a coordinator, heartbeat their load, and *claim* jobs
-// from a shared claim table by long-polling any coordinator. Each grant
-// carries a lease the worker renews while running; an expired lease
-// makes the claim claimable again (attempt+1) by any survivor, so no
-// failure detector sits on the dispatch path. Coordinators replicate
-// the claim table to each other leader-lessly (append-and-reconcile on
-// cache key + attempt), so any one of N coordinators can die without
-// stranding work. Stragglers are hedged: a claim outstanding past the
-// per-label p95×1.5 becomes claimable by a second worker, first
-// terminal result wins. Determinism plus content addressing make all of
-// it safe: a job executed twice — after a lease expiry, on a hedge, or
-// on a "dead" worker that was merely slow — produces exactly the same
-// bytes under exactly the same cache key.
+// *claim* jobs from a shared claim table by long-polling any
+// coordinator. Each grant carries a lease the worker renews while
+// running; an expired lease makes the claim claimable again (attempt+1)
+// by any survivor, so no failure detector sits on the dispatch path.
+// The claim table is also the coordinator's only record of workers: a
+// worker is visible while it has polled, renewed or reported within one
+// lease, or holds an unexpired lease in the table. Coordinators
+// replicate the claim table to each other leader-lessly
+// (append-and-reconcile on cache key + attempt), so any one of N
+// coordinators can die without stranding work. Determinism plus content
+// addressing make all of it safe: a job executed twice — after a lease
+// expiry, or on a worker that was merely slow — produces exactly the
+// same bytes under exactly the same cache key.
 package cluster
 
 import (
@@ -22,13 +22,11 @@ import (
 
 // Wire-format bounds. Every message is validated against these on
 // decode so a confused (or malicious) peer fails loudly at the edge
-// instead of poisoning the registry.
+// instead of poisoning the claim table.
 const (
 	maxIDLen      = 128
 	maxAddrLen    = 512
 	maxLabelLen   = 128
-	maxCapacity   = 4096
-	maxGauge      = 1 << 20  // queue/running counts beyond this are nonsense
 	maxWireLen    = 2 << 20  // body cap for control-plane cluster messages
 	maxResultLen  = 16 << 20 // body cap for messages carrying result bytes
 	maxClaimWait  = 60_000   // longest long-poll hold a worker may request, ms
@@ -36,71 +34,6 @@ const (
 	maxBatchRecs  = 4096     // claim records per replication batch
 	maxPriority   = 8        // priority classes beyond this are nonsense
 )
-
-// Register announces a worker to the coordinator: who it is, where its
-// HTTP API answers, and how many jobs it runs concurrently.
-type Register struct {
-	ID       string `json:"id"`
-	Addr     string `json:"addr"` // worker base URL, e.g. http://10.0.0.7:8080
-	Capacity int    `json:"capacity"`
-}
-
-// Validate applies the wire bounds.
-func (r Register) Validate() error {
-	if err := validID(r.ID); err != nil {
-		return err
-	}
-	if r.Addr == "" || len(r.Addr) > maxAddrLen {
-		return fmt.Errorf("register: addr length %d outside [1, %d]", len(r.Addr), maxAddrLen)
-	}
-	if len(r.Addr) < 8 || (r.Addr[:7] != "http://" && r.Addr[:8] != "https://") {
-		return fmt.Errorf("register: addr %q is not an http(s) URL", r.Addr)
-	}
-	if r.Capacity < 1 || r.Capacity > maxCapacity {
-		return fmt.Errorf("register: capacity %d outside [1, %d]", r.Capacity, maxCapacity)
-	}
-	return nil
-}
-
-// RegisterAck is the coordinator's answer: the heartbeat cadence it
-// expects, so fleet timing is configured in exactly one place.
-type RegisterAck struct {
-	OK              bool  `json:"ok"`
-	HeartbeatMillis int64 `json:"heartbeat_ms"`
-}
-
-// Heartbeat is a worker's periodic liveness-and-load report.
-type Heartbeat struct {
-	ID       string `json:"id"`
-	Queued   int    `json:"queued"`
-	Running  int    `json:"running"`
-	Capacity int    `json:"capacity"`
-}
-
-// Validate applies the wire bounds.
-func (h Heartbeat) Validate() error {
-	if err := validID(h.ID); err != nil {
-		return err
-	}
-	if h.Queued < 0 || h.Queued > maxGauge {
-		return fmt.Errorf("heartbeat: queued %d outside [0, %d]", h.Queued, maxGauge)
-	}
-	if h.Running < 0 || h.Running > maxGauge {
-		return fmt.Errorf("heartbeat: running %d outside [0, %d]", h.Running, maxGauge)
-	}
-	if h.Capacity < 1 || h.Capacity > maxCapacity {
-		return fmt.Errorf("heartbeat: capacity %d outside [1, %d]", h.Capacity, maxCapacity)
-	}
-	return nil
-}
-
-// HeartbeatAck tells the worker whether the coordinator still knows it.
-// Registered=false (a coordinator restart wiped the registry, or the
-// worker was declared dead) makes the agent re-register — the fleet
-// heals itself in one heartbeat interval.
-type HeartbeatAck struct {
-	Registered bool `json:"registered"`
-}
 
 // Claim states as they appear on the wire and in the claim journal.
 const (
@@ -212,10 +145,10 @@ type RenewAck struct {
 
 // ClaimReport is a worker's terminal report: POST /cluster/claims/report.
 // State is done (with the result bytes) or failed (with the error).
-// Reports are first-terminal-wins: a duplicate — the other side of a
-// hedge, or a re-execution after a lease expired on a merely-slow worker
-// — is acknowledged but discarded, which is safe because determinism
-// makes every copy's bytes identical.
+// Reports are first-terminal-wins: a duplicate — a re-execution after a
+// lease expired on a merely-slow worker — is acknowledged but
+// discarded, which is safe because determinism makes every copy's bytes
+// identical.
 type ClaimReport struct {
 	Worker  string `json:"worker"`
 	Key     string `json:"key"`
@@ -322,24 +255,6 @@ func (b ReplicateBatch) Validate() error {
 		}
 	}
 	return nil
-}
-
-// DecodeRegister strictly decodes and validates a Register body.
-func DecodeRegister(r io.Reader) (Register, error) {
-	var m Register
-	if err := decodeStrict(r, &m); err != nil {
-		return Register{}, err
-	}
-	return m, m.Validate()
-}
-
-// DecodeHeartbeat strictly decodes and validates a Heartbeat body.
-func DecodeHeartbeat(r io.Reader) (Heartbeat, error) {
-	var m Heartbeat
-	if err := decodeStrict(r, &m); err != nil {
-		return Heartbeat{}, err
-	}
-	return m, m.Validate()
 }
 
 // DecodeClaimRequest strictly decodes and validates a ClaimRequest body.

@@ -7,55 +7,6 @@ import (
 
 var testKey = strings.Repeat("ab", 32)
 
-func TestDecodeRegister(t *testing.T) {
-	m, err := DecodeRegister(strings.NewReader(`{"id":"w1","addr":"http://10.0.0.7:8080","capacity":4}`))
-	if err != nil {
-		t.Fatalf("valid register rejected: %v", err)
-	}
-	if m.ID != "w1" || m.Capacity != 4 {
-		t.Fatalf("decoded %+v", m)
-	}
-
-	bad := []string{
-		`{"id":"","addr":"http://x","capacity":1}`,           // empty id
-		`{"id":"w 1","addr":"http://x","capacity":1}`,        // space in id
-		`{"id":"w1","addr":"ftp://x","capacity":1}`,          // not http(s)
-		`{"id":"w1","addr":"","capacity":1}`,                 // empty addr
-		`{"id":"w1","addr":"http://x","capacity":0}`,         // zero capacity
-		`{"id":"w1","addr":"http://x","capacity":99999}`,     // over cap
-		`{"id":"w1","addr":"http://x","capacity":1,"x":1}`,   // unknown field
-		`{"id":"w1","addr":"http://x","capacity":1} trailer`, // trailing data
-		`not json`,
-	}
-	for _, b := range bad {
-		if _, err := DecodeRegister(strings.NewReader(b)); err == nil {
-			t.Errorf("accepted bad register: %s", b)
-		}
-	}
-}
-
-func TestDecodeHeartbeat(t *testing.T) {
-	m, err := DecodeHeartbeat(strings.NewReader(`{"id":"w1","queued":3,"running":1,"capacity":2}`))
-	if err != nil {
-		t.Fatalf("valid heartbeat rejected: %v", err)
-	}
-	if m.Queued != 3 || m.Running != 1 {
-		t.Fatalf("decoded %+v", m)
-	}
-	bad := []string{
-		`{"id":"w1","queued":-1,"capacity":2}`,
-		`{"id":"w1","running":-1,"capacity":2}`,
-		`{"id":"w1","queued":9999999,"capacity":2}`,
-		`{"id":"w1","capacity":0}`,
-		`{"id":"w1","capacity":2}{"id":"w2","capacity":2}`, // trailing message
-	}
-	for _, b := range bad {
-		if _, err := DecodeHeartbeat(strings.NewReader(b)); err == nil {
-			t.Errorf("accepted bad heartbeat: %s", b)
-		}
-	}
-}
-
 func TestDecodeClaimRequest(t *testing.T) {
 	m, err := DecodeClaimRequest(strings.NewReader(`{"worker":"w1","wait_ms":1500}`))
 	if err != nil {

@@ -10,17 +10,18 @@ import (
 
 // Fleet seam: a Server configured with a Cluster backend routes job
 // execution through it instead of running simulations in-process. The
-// backend (internal/cluster's coordinator) owns worker selection,
-// failover, and hedging; the server keeps owning admission, dedup, the
-// cache, durability, and the client-facing API. The seam is sound for
-// the same reason the cache is: simulations are deterministic and
-// content-addressed, so a job executed remotely — even twice, on two
-// workers — yields exactly the bytes a local run would have produced.
+// backend (internal/cluster's coordinator) owns handing jobs to workers
+// and recovering them from failed ones; the server keeps owning
+// admission, dedup, the cache, durability, and the client-facing API.
+// The seam is sound for the same reason the cache is: simulations are
+// deterministic and content-addressed, so a job executed remotely —
+// even twice, on two workers — yields exactly the bytes a local run
+// would have produced.
 
 // ErrNoWorkers is returned by a Cluster backend when no worker can take
 // the job. The server then degrades gracefully: it executes the job
 // locally in-process and reports degraded=true on /readyz.
-var ErrNoWorkers = errors.New("cluster: no live workers")
+var ErrNoWorkers = errors.New("cluster: no visible workers")
 
 // PeerStatus is one peer coordinator's replication health, surfaced on
 // /readyz.
@@ -40,28 +41,20 @@ type PeerStatus struct {
 type ClusterStats struct {
 	// Role identifies this node's part in the fleet ("coordinator").
 	Role string
-	// Worker counts by health state.
-	Live    int
-	Suspect int
-	Dead    int
+	// Workers counts the workers visible to this coordinator.
+	Workers int
 	// Peers lists the other coordinators and their replication lag.
 	Peers []PeerStatus
-	// Claim lifecycle counters: leases granted (first claims, expiry
-	// reclaims, and hedges), claims settled done/failed, duplicate
-	// terminal reports discarded, hedge grants against a live lease,
-	// and leases that expired back to pending.
+	// Claim lifecycle counters: leases granted (first claims and expiry
+	// reclaims), claims settled done/failed, duplicate terminal reports
+	// discarded, and leases that expired back to pending.
 	ClaimsGranted    uint64
 	ClaimsCompleted  uint64
 	ClaimsFailed     uint64
 	ClaimsDuplicate  uint64
-	ClaimContention  uint64
 	LeaseExpirations uint64
-	// HedgesStarted / HedgesWon count claims opened to a second worker
-	// for straggling, and how many settles came from the hedge's lease.
-	HedgesStarted uint64
-	HedgesWon     uint64
-	// Degraded is true while no worker (live or suspect) can take jobs
-	// or a peer coordinator is unreachable.
+	// Degraded is true while no worker is visible or a peer coordinator
+	// is unreachable.
 	Degraded bool
 }
 
@@ -94,7 +87,7 @@ func (s *Server) executeOrDispatch(ctx context.Context, c *compiledSpec, j *Job)
 	result, err := s.cfg.Cluster.Dispatch(ctx, j.Key, c.label(), j.tenant, j.priority, c.spec, j.broker)
 	if errors.Is(err, ErrNoWorkers) {
 		s.metrics.localFallback()
-		fmt.Fprintf(j.broker, "cluster: no live workers; executing locally in degraded mode\n")
+		fmt.Fprintf(j.broker, "cluster: no visible workers; executing locally in degraded mode\n")
 		return s.executeGuarded(ctx, c, j)
 	}
 	return result, err

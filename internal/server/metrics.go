@@ -165,13 +165,6 @@ func (m *metrics) replicationShed() {
 	m.replShed++
 }
 
-// stateCounts reads the queued/running gauges (used by worker heartbeats).
-func (m *metrics) stateCounts() (queued, running int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.jobsByState[StateQueued], m.jobsByState[StateRunning]
-}
-
 // addFaults accumulates a fault-plan run's injected-fault and recovery
 // counts.
 func (m *metrics) addFaults(injected, recovered uint64) {
@@ -284,11 +277,9 @@ func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durab
 	// Cluster series appear only on a coordinator; a plain slipd has no
 	// fleet to report on.
 	if cluster != nil {
-		fmt.Fprintln(w, "# HELP slipd_workers Fleet workers by health state.")
+		fmt.Fprintln(w, "# HELP slipd_workers Fleet workers visible to this coordinator: seen polling, renewing or reporting within one claim lease, or holding an unexpired lease.")
 		fmt.Fprintln(w, "# TYPE slipd_workers gauge")
-		fmt.Fprintf(w, "slipd_workers{state=\"live\"} %d\n", cluster.Live)
-		fmt.Fprintf(w, "slipd_workers{state=\"suspect\"} %d\n", cluster.Suspect)
-		fmt.Fprintf(w, "slipd_workers{state=\"dead\"} %d\n", cluster.Dead)
+		fmt.Fprintf(w, "slipd_workers %d\n", cluster.Workers)
 
 		fmt.Fprintln(w, "# HELP slipd_claims_total Claim-table outcomes: leases granted, claims settled done/failed, duplicate terminal reports discarded.")
 		fmt.Fprintln(w, "# TYPE slipd_claims_total counter")
@@ -297,21 +288,9 @@ func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durab
 		fmt.Fprintf(w, "slipd_claims_total{outcome=\"failed\"} %d\n", cluster.ClaimsFailed)
 		fmt.Fprintf(w, "slipd_claims_total{outcome=\"duplicate\"} %d\n", cluster.ClaimsDuplicate)
 
-		fmt.Fprintln(w, "# HELP slipd_claim_contention_total Hedge grants: a second worker claimed a job whose lease was still live.")
-		fmt.Fprintln(w, "# TYPE slipd_claim_contention_total counter")
-		fmt.Fprintf(w, "slipd_claim_contention_total %d\n", cluster.ClaimContention)
-
 		fmt.Fprintln(w, "# HELP slipd_lease_expirations_total Claim leases that expired and went back to pending for reclaim.")
 		fmt.Fprintln(w, "# TYPE slipd_lease_expirations_total counter")
 		fmt.Fprintf(w, "slipd_lease_expirations_total %d\n", cluster.LeaseExpirations)
-
-		fmt.Fprintln(w, "# HELP slipd_hedges_started_total Claims opened to a second worker for running past the per-kernel latency threshold.")
-		fmt.Fprintln(w, "# TYPE slipd_hedges_started_total counter")
-		fmt.Fprintf(w, "slipd_hedges_started_total %d\n", cluster.HedgesStarted)
-
-		fmt.Fprintln(w, "# HELP slipd_hedges_won_total Hedged copies that finished before the primary.")
-		fmt.Fprintln(w, "# TYPE slipd_hedges_won_total counter")
-		fmt.Fprintf(w, "slipd_hedges_won_total %d\n", cluster.HedgesWon)
 
 		fmt.Fprintln(w, "# HELP slipd_local_fallbacks_total Jobs the coordinator executed in-process because no worker could take them.")
 		fmt.Fprintln(w, "# TYPE slipd_local_fallbacks_total counter")

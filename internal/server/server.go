@@ -48,9 +48,10 @@ type Config struct {
 	// job; it doubles per attempt (default 250ms, capped at 30s).
 	RetryBackoff time.Duration
 	// Cluster, when non-nil, turns this server into a fleet coordinator:
-	// job execution is dispatched through the backend (which owns worker
-	// selection, failover, and hedging) and only falls back to local
-	// in-process execution when the backend reports ErrNoWorkers.
+	// job execution is dispatched through the backend (which hands jobs
+	// to workers and recovers them from failed ones) and only falls back
+	// to local in-process execution when the backend reports
+	// ErrNoWorkers.
 	Cluster Cluster
 	// ChaosInjected, when set, is sampled by /metrics into the
 	// slipd_chaos_injected_total counter — the number of control-plane
@@ -673,12 +674,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.closePersistence()
 		return ctx.Err()
 	}
-}
-
-// Load reports how many jobs are currently queued and running (exported
-// for the worker agent's heartbeats; the same gauges are in /metrics).
-func (s *Server) Load() (queued, running int) {
-	return s.metrics.stateCounts()
 }
 
 // RunsTotal reports how many underlying simulation executions have

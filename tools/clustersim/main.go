@@ -61,6 +61,7 @@ func main() {
 		expired  atomic.Uint64
 		granted  atomic.Uint64
 		dups     atomic.Uint64
+		falls    atomic.Uint64
 	)
 
 	t0 := time.Now()
@@ -92,6 +93,7 @@ func main() {
 			expired.Add(rep.Expirations)
 			granted.Add(rep.Granted)
 			dups.Add(rep.Duplicates)
+			falls.Add(rep.Fallbacks)
 			if !rep.OK() {
 				mu.Lock()
 				failures = append(failures, failure{seed, rep.Violations})
@@ -99,15 +101,15 @@ func main() {
 			}
 			n := done.Add(1)
 			if *verbose || n%50 == 0 {
-				fmt.Printf("clustersim: %d/%d schedules (seed %d: %d faults, %d grants, ok=%v)\n",
-					n, *seeds, seed, rep.ChaosInjected, rep.Granted, rep.OK())
+				fmt.Printf("clustersim: %d/%d schedules (seed %d: %d faults, %d grants, %d fallbacks, ok=%v)\n",
+					n, *seeds, seed, rep.ChaosInjected, rep.Granted, rep.Fallbacks, rep.OK())
 			}
 		}()
 	}
 	wg.Wait()
 
-	fmt.Printf("clustersim: %d schedules in %v — %d faults injected, %d claims granted, %d lease expirations, %d duplicate reports\n",
-		*seeds, time.Since(t0).Round(time.Millisecond), injected.Load(), granted.Load(), expired.Load(), dups.Load())
+	fmt.Printf("clustersim: %d schedules in %v — %d faults injected, %d claims granted, %d lease expirations, %d duplicate reports, %d fallbacks (dispatches run locally for want of a visible worker)\n",
+		*seeds, time.Since(t0).Round(time.Millisecond), injected.Load(), granted.Load(), expired.Load(), dups.Load(), falls.Load())
 	if len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintf(os.Stderr, "clustersim: seed %d FAILED — reproduce with: go run ./tools/clustersim -start %d -seeds 1 -v\n", f.seed, f.seed)

@@ -11,16 +11,13 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"strings"
-	"syscall"
 	"time"
+
+	"repro/tools/internal/drill"
 )
 
 // fastSpec finishes in seconds; slowSpec runs long enough that a signal
@@ -47,27 +44,27 @@ func main() {
 }
 
 func run(bin string) error {
-	cmd, base, err := startSlipd(bin, "-no-persist")
+	cmd, base, err := drill.Start(bin, "-no-persist")
 	if err != nil {
 		return err
 	}
 	defer cmd.Process.Kill()
 
-	if err := waitHealthy(base, 10*time.Second); err != nil {
+	if err := drill.WaitHealthy(base, 10*time.Second); err != nil {
 		return err
 	}
 
 	// One CG fixed-size scaling study at test scale: small enough to run
 	// in seconds, and its result is a real speedup table.
-	id, _, _, err := submit(base, fastSpec)
+	id, _, _, err := drill.Submit(base, "", fastSpec)
 	if err != nil {
 		return err
 	}
-	if err := waitDone(base, id, 2*time.Minute); err != nil {
+	if err := drill.WaitDone(base, id, 2*time.Minute); err != nil {
 		return err
 	}
 
-	result, code, err := get(base + "/jobs/" + id + "/result")
+	result, code, err := drill.Get(base + "/jobs/" + id + "/result")
 	if err != nil {
 		return err
 	}
@@ -81,7 +78,7 @@ func run(bin string) error {
 	}
 	fmt.Fprintf(os.Stderr, "smoke: got speedup table:\n%s", result)
 
-	metrics, _, err := get(base + "/metrics")
+	metrics, _, err := drill.Get(base + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -92,11 +89,11 @@ func run(bin string) error {
 	// Cancellation: DELETE a running job and assert it settles as failed
 	// without wedging the worker or the later drain. A small-scale suite
 	// is slow enough to still be running when the DELETE lands.
-	id, _, _, err = submit(base, slowSpec)
+	id, _, _, err = drill.Submit(base, "", slowSpec)
 	if err != nil {
 		return err
 	}
-	if err := waitState(base, id, "running", 30*time.Second); err != nil {
+	if err := drill.WaitState(base, id, "running", 30*time.Second); err != nil {
 		return err
 	}
 	req, err := http.NewRequest(http.MethodDelete, base+"/jobs/"+id, nil)
@@ -111,7 +108,7 @@ func run(bin string) error {
 	if dresp.StatusCode != http.StatusOK {
 		return fmt.Errorf("DELETE running job = %d, want 200", dresp.StatusCode)
 	}
-	v, err := waitTerminal(base, id, 2*time.Minute)
+	v, err := drill.WaitTerminal(base, id, 2*time.Minute)
 	if err != nil {
 		return err
 	}
@@ -120,7 +117,7 @@ func run(bin string) error {
 	}
 	fmt.Fprintln(os.Stderr, "smoke: cancelled running job settled as failed")
 
-	return stopGracefully(cmd)
+	return drill.StopGracefully(cmd)
 }
 
 // crashRecovery is the durability drill: SIGKILL a persistent slipd
@@ -129,7 +126,7 @@ func run(bin string) error {
 func crashRecovery(bin string) error {
 	// Reference bytes from an uninterrupted run on a throwaway
 	// memory-only instance: the recovered run must match these exactly.
-	ref, err := referenceRun(bin)
+	ref, err := drill.ReferenceRun(bin, slowSpec)
 	if err != nil {
 		return fmt.Errorf("reference run: %w", err)
 	}
@@ -142,33 +139,33 @@ func crashRecovery(bin string) error {
 
 	// Instance A: complete one fast job, then get SIGKILLed while the
 	// slow one is running.
-	cmdA, baseA, err := startSlipd(bin, "-data-dir", dataDir)
+	cmdA, baseA, err := drill.Start(bin, "-data-dir", dataDir)
 	if err != nil {
 		return err
 	}
 	defer cmdA.Process.Kill()
-	if err := waitReady(baseA, 10*time.Second); err != nil {
+	if err := drill.WaitReady(baseA, 10*time.Second); err != nil {
 		return err
 	}
-	fastID, fastKey, _, err := submit(baseA, fastSpec)
+	fastID, fastKey, _, err := drill.Submit(baseA, "", fastSpec)
 	if err != nil {
 		return err
 	}
-	if err := waitDone(baseA, fastID, 2*time.Minute); err != nil {
+	if err := drill.WaitDone(baseA, fastID, 2*time.Minute); err != nil {
 		return err
 	}
-	fastRef, code, err := get(baseA + "/jobs/" + fastID + "/result")
+	fastRef, code, err := drill.Get(baseA + "/jobs/" + fastID + "/result")
 	if err != nil {
 		return err
 	}
 	if code != http.StatusOK {
 		return fmt.Errorf("GET fast result = %d", code)
 	}
-	slowID, _, _, err := submit(baseA, slowSpec)
+	slowID, _, _, err := drill.Submit(baseA, "", slowSpec)
 	if err != nil {
 		return err
 	}
-	if err := waitState(baseA, slowID, "running", 30*time.Second); err != nil {
+	if err := drill.WaitState(baseA, slowID, "running", 30*time.Second); err != nil {
 		return err
 	}
 	if err := cmdA.Process.Kill(); err != nil { // SIGKILL: no drain, no flush
@@ -180,25 +177,25 @@ func crashRecovery(bin string) error {
 	// Instance B: same data dir. Replay must requeue the interrupted job
 	// under the same id and finish it with the reference bytes, and must
 	// serve the fast job's result from disk without re-executing it.
-	cmdB, baseB, err := startSlipd(bin, "-data-dir", dataDir)
+	cmdB, baseB, err := drill.Start(bin, "-data-dir", dataDir)
 	if err != nil {
 		return err
 	}
 	defer cmdB.Process.Kill()
-	if err := waitReady(baseB, 10*time.Second); err != nil {
+	if err := drill.WaitReady(baseB, 10*time.Second); err != nil {
 		return err
 	}
-	v, err := jobView(baseB, slowID)
+	v, err := drill.Job(baseB, slowID)
 	if err != nil {
 		return fmt.Errorf("interrupted job after restart: %w", err)
 	}
 	if !v.Restored || v.Attempts != 2 {
 		return fmt.Errorf("interrupted job = restored=%v attempts=%d, want restored attempts=2", v.Restored, v.Attempts)
 	}
-	if err := waitDone(baseB, slowID, 3*time.Minute); err != nil {
+	if err := drill.WaitDone(baseB, slowID, 3*time.Minute); err != nil {
 		return fmt.Errorf("requeued job: %w", err)
 	}
-	recovered, code, err := get(baseB + "/jobs/" + slowID + "/result")
+	recovered, code, err := drill.Get(baseB + "/jobs/" + slowID + "/result")
 	if err != nil {
 		return err
 	}
@@ -210,21 +207,21 @@ func crashRecovery(bin string) error {
 	}
 	fmt.Fprintln(os.Stderr, "smoke: requeued job produced byte-identical output")
 
-	_, _, cached, err := submit(baseB, fastSpec)
+	_, _, cached, err := drill.Submit(baseB, "", fastSpec)
 	if err != nil {
 		return err
 	}
 	if !cached {
 		return fmt.Errorf("resubmitted fast spec was not served from the result store")
 	}
-	byKey, code, err := get(baseB + "/results/" + fastKey)
+	byKey, code, err := drill.Get(baseB + "/results/" + fastKey)
 	if err != nil {
 		return err
 	}
 	if code != http.StatusOK || byKey != fastRef {
 		return fmt.Errorf("GET /results/%s = %d, bytes match=%v", fastKey, code, byKey == fastRef)
 	}
-	metrics, _, err := get(baseB + "/metrics")
+	metrics, _, err := drill.Get(baseB + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -238,22 +235,22 @@ func crashRecovery(bin string) error {
 		}
 	}
 	fmt.Fprintln(os.Stderr, "smoke: done job served from disk, recovery metrics correct")
-	if err := stopGracefully(cmdB); err != nil {
+	if err := drill.StopGracefully(cmdB); err != nil {
 		return err
 	}
 
 	// Instance C: after a clean SIGTERM drain the journal holds only
 	// terminal records, so this restart must recover everything and
 	// requeue nothing.
-	cmdC, baseC, err := startSlipd(bin, "-data-dir", dataDir)
+	cmdC, baseC, err := drill.Start(bin, "-data-dir", dataDir)
 	if err != nil {
 		return err
 	}
 	defer cmdC.Process.Kill()
-	if err := waitReady(baseC, 10*time.Second); err != nil {
+	if err := drill.WaitReady(baseC, 10*time.Second); err != nil {
 		return err
 	}
-	metrics, _, err = get(baseC + "/metrics")
+	metrics, _, err = drill.Get(baseC + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -264,200 +261,5 @@ func crashRecovery(bin string) error {
 		return fmt.Errorf("clean restart requeued work:\n%s", metrics)
 	}
 	fmt.Fprintln(os.Stderr, "smoke: clean restart recovered 3 jobs, requeued 0")
-	return stopGracefully(cmdC)
-}
-
-// referenceRun executes slowSpec to completion on a memory-only
-// instance and returns the rendered result.
-func referenceRun(bin string) (string, error) {
-	cmd, base, err := startSlipd(bin, "-no-persist")
-	if err != nil {
-		return "", err
-	}
-	defer cmd.Process.Kill()
-	if err := waitHealthy(base, 10*time.Second); err != nil {
-		return "", err
-	}
-	id, _, _, err := submit(base, slowSpec)
-	if err != nil {
-		return "", err
-	}
-	if err := waitDone(base, id, 3*time.Minute); err != nil {
-		return "", err
-	}
-	result, code, err := get(base + "/jobs/" + id + "/result")
-	if err != nil {
-		return "", err
-	}
-	if code != http.StatusOK {
-		return "", fmt.Errorf("GET result = %d", code)
-	}
-	return result, stopGracefully(cmd)
-}
-
-// startSlipd launches the daemon on a free port and returns the running
-// process plus its base URL.
-func startSlipd(bin string, extra ...string) (*exec.Cmd, string, error) {
-	// Grab a free port; the tiny window between closing the probe
-	// listener and slipd binding it is acceptable for a smoke test.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, "", err
-	}
-	addr := l.Addr().String()
-	l.Close()
-
-	args := append([]string{"-addr", addr, "-workers", "1", "-drain", "2m"}, extra...)
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, "", fmt.Errorf("start %s: %w", bin, err)
-	}
-	return cmd, "http://" + addr, nil
-}
-
-// stopGracefully SIGTERMs the daemon and requires a clean drain.
-func stopGracefully(cmd *exec.Cmd) error {
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("slipd exited non-zero after SIGTERM: %w", err)
-		}
-	case <-time.After(2 * time.Minute):
-		return fmt.Errorf("slipd did not exit within 2m of SIGTERM")
-	}
-	return nil
-}
-
-// submit POSTs a spec and returns the new job's id, cache key, and
-// whether it was served from the result cache.
-func submit(base, spec string) (id, key string, cached bool, err error) {
-	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(spec))
-	if err != nil {
-		return "", "", false, err
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return "", "", false, fmt.Errorf("POST /jobs = %d: %s", resp.StatusCode, body)
-	}
-	var sr struct {
-		Job struct {
-			ID  string `json:"id"`
-			Key string `json:"key"`
-		} `json:"job"`
-		Cached bool `json:"cached"`
-	}
-	if err := json.Unmarshal(body, &sr); err != nil {
-		return "", "", false, fmt.Errorf("decode submit response: %w (%s)", err, body)
-	}
-	return sr.Job.ID, sr.Job.Key, sr.Cached, nil
-}
-
-func waitHealthy(base string, timeout time.Duration) error {
-	return waitProbe(base+"/healthz", timeout)
-}
-
-// waitReady polls /readyz, which only turns 200 after journal replay.
-func waitReady(base string, timeout time.Duration) error {
-	return waitProbe(base+"/readyz", timeout)
-}
-
-func waitProbe(url string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if _, code, err := get(url); err == nil && code == http.StatusOK {
-			return nil
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return fmt.Errorf("%s not 200 within %s", url, timeout)
-}
-
-func waitDone(base, id string, timeout time.Duration) error {
-	v, err := waitTerminal(base, id, timeout)
-	if err != nil {
-		return err
-	}
-	if v.State != "done" {
-		return fmt.Errorf("job failed: %s", v.Error)
-	}
-	return nil
-}
-
-// waitState polls until the job reaches the wanted (possibly transient)
-// state. A job that skips past it to a terminal state is an error.
-func waitState(base, id, want string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		v, err := jobView(base, id)
-		if err != nil {
-			return err
-		}
-		if v.State == want {
-			return nil
-		}
-		if v.State == "done" || v.State == "failed" {
-			return fmt.Errorf("job %s reached %q (error %q) before %q", id, v.State, v.Error, want)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("job %s not %s within %s", id, want, timeout)
-}
-
-// waitTerminal polls until the job settles, returning its final view.
-func waitTerminal(base, id string, timeout time.Duration) (view, error) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		v, err := jobView(base, id)
-		if err != nil {
-			return view{}, err
-		}
-		if v.State == "done" || v.State == "failed" {
-			return v, nil
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return view{}, fmt.Errorf("job %s not terminal within %s", id, timeout)
-}
-
-type view struct {
-	State    string `json:"state"`
-	Error    string `json:"error"`
-	Attempts int    `json:"attempts"`
-	Restored bool   `json:"restored"`
-}
-
-func jobView(base, id string) (view, error) {
-	body, code, err := get(base + "/jobs/" + id)
-	if err != nil {
-		return view{}, err
-	}
-	if code != http.StatusOK {
-		return view{}, fmt.Errorf("GET /jobs/%s = %d: %s", id, code, body)
-	}
-	var v view
-	if err := json.Unmarshal([]byte(body), &v); err != nil {
-		return view{}, err
-	}
-	return v, nil
-}
-
-func get(url string) (string, int, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", 0, err
-	}
-	return string(b), resp.StatusCode, nil
+	return drill.StopGracefully(cmdC)
 }

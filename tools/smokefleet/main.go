@@ -2,11 +2,12 @@
 //
 // `smokefleet <bin>` (or `smokefleet <bin> fleet`, `make smoke-fleet`)
 // runs the worker drills: a clean run through the claim path must settle
-// with zero lease expirations; then a worker is SIGKILLed while holding
-// a claim and the job must settle on the survivor — via lease expiry,
-// slipd_lease_expirations_total ≥ 1 — with bytes identical to an
-// uninterrupted reference run; finally a coordinator with zero workers
-// must execute locally in degraded mode.
+// with zero lease expirations and zero duplicate reports; then a worker
+// is SIGKILLed while holding a claim and the job must settle on the
+// survivor — via lease expiry, slipd_lease_expirations_total ≥ 1 — with
+// bytes identical to an uninterrupted reference run, leaving one
+// visible worker; finally a coordinator with zero workers must execute
+// locally in degraded mode.
 //
 // `smokefleet <bin> ha` (`make smoke-ha`) runs the coordinator-kill
 // drill: two peered coordinators replicating the claim table, two
@@ -20,14 +21,13 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"strings"
-	"syscall"
 	"time"
+
+	"repro/tools/internal/drill"
 )
 
 // fastSpec finishes in seconds; slowSpec runs long enough that a SIGKILL
@@ -42,11 +42,11 @@ func main() {
 	if len(os.Args) > 1 {
 		bin = os.Args[1]
 	}
-	drill := "fleet"
+	scenario := "fleet"
 	if len(os.Args) > 2 {
-		drill = os.Args[2]
+		scenario = os.Args[2]
 	}
-	switch drill {
+	switch scenario {
 	case "fleet":
 		if err := workerKillDrill(bin); err != nil {
 			fmt.Fprintln(os.Stderr, "smoke-fleet: FAILED:", err)
@@ -64,7 +64,7 @@ func main() {
 		}
 		fmt.Println("smoke-ha: PASSED")
 	default:
-		fmt.Fprintf(os.Stderr, "smokefleet: unknown drill %q (want fleet or ha)\n", drill)
+		fmt.Fprintf(os.Stderr, "smokefleet: unknown drill %q (want fleet or ha)\n", scenario)
 		os.Exit(2)
 	}
 }
@@ -73,23 +73,22 @@ func main() {
 // first (zero reclaims), then SIGKILL the worker holding a claim and
 // require the survivor to finish it byte-identically via lease expiry.
 func workerKillDrill(bin string) error {
-	refFast, err := referenceRun(bin, fastSpec)
+	refFast, err := drill.ReferenceRun(bin, fastSpec)
 	if err != nil {
 		return fmt.Errorf("reference run: %w", err)
 	}
-	refSlow, err := referenceRun(bin, slowSpec)
+	refSlow, err := drill.ReferenceRun(bin, slowSpec)
 	if err != nil {
 		return fmt.Errorf("reference run: %w", err)
 	}
 
-	coord, coordBase, err := startSlipd(bin, "-no-persist", "-coordinator",
-		"-heartbeat-interval", "300ms", "-suspect-after", "1s", "-dead-after", "2s",
-		"-claim-lease", "2s")
+	coord, coordBase, err := drill.Start(bin, "-no-persist", "-coordinator",
+		"-sync-interval", "300ms", "-claim-lease", "2s")
 	if err != nil {
 		return err
 	}
 	defer coord.Process.Kill()
-	if err := waitReady(coordBase, 10*time.Second); err != nil {
+	if err := drill.WaitReady(coordBase, 10*time.Second); err != nil {
 		return err
 	}
 
@@ -99,7 +98,7 @@ func workerKillDrill(bin string) error {
 	}
 	workers := map[string]workerProc{}
 	for _, id := range []string{"w1", "w2"} {
-		cmd, base, err := startSlipd(bin, "-no-persist", "-worker",
+		cmd, base, err := drill.Start(bin, "-no-persist", "-worker",
 			"-join", coordBase, "-worker-id", id, "-claim-poll", "500ms")
 		if err != nil {
 			return err
@@ -108,43 +107,47 @@ func workerKillDrill(bin string) error {
 		workers[id] = workerProc{cmd, base}
 	}
 
-	// Both workers must enroll through register + heartbeat.
+	// Both workers must become visible through their claim polls.
 	if err := waitWorkers(coordBase, 2, 15*time.Second); err != nil {
 		return err
 	}
-	fmt.Fprintln(os.Stderr, "smoke-fleet: 2 workers live")
+	fmt.Fprintln(os.Stderr, "smoke-fleet: 2 workers visible")
 
 	// Phase 1 — clean run: a job claimed, executed, and reported without
-	// any failure must never touch the lease-recovery machinery.
-	id, _, _, err := submit(coordBase, fastSpec)
+	// any failure must never touch the lease-recovery machinery, and has
+	// no legal source of a duplicate terminal report.
+	id, _, _, err := drill.Submit(coordBase, "", fastSpec)
 	if err != nil {
 		return err
 	}
-	if err := waitDone(coordBase, id, 2*time.Minute); err != nil {
+	if err := drill.WaitDone(coordBase, id, 2*time.Minute); err != nil {
 		return fmt.Errorf("clean claim run: %w", err)
 	}
-	got, code, err := get(coordBase + "/jobs/" + id + "/result")
+	got, code, err := drill.Get(coordBase + "/jobs/" + id + "/result")
 	if err != nil {
 		return err
 	}
 	if code != http.StatusOK || got != refFast {
 		return fmt.Errorf("clean run result: HTTP %d, bytes match=%v", code, got == refFast)
 	}
-	metrics, _, err := get(coordBase + "/metrics")
+	metrics, _, err := drill.Get(coordBase + "/metrics")
 	if err != nil {
 		return err
 	}
-	if n, err := metricValue(metrics, `slipd_claims_total{outcome="done"}`); err != nil || n < 1 {
+	if n, err := drill.MetricValue(metrics, `slipd_claims_total{outcome="done"}`); err != nil || n < 1 {
 		return fmt.Errorf("clean run settled no claims (done=%d, err=%v):\n%s", n, err, metrics)
 	}
-	if n, err := metricValue(metrics, "slipd_lease_expirations_total"); err != nil || n != 0 {
+	if n, err := drill.MetricValue(metrics, "slipd_lease_expirations_total"); err != nil || n != 0 {
 		return fmt.Errorf("clean run expired %d leases, want 0 (err=%v):\n%s", n, err, metrics)
 	}
-	fmt.Fprintln(os.Stderr, "smoke-fleet: clean claim run settled with zero lease expirations")
+	if n, err := drill.MetricValue(metrics, `slipd_claims_total{outcome="duplicate"}`); err != nil || n != 0 {
+		return fmt.Errorf("clean run saw %d duplicate reports, want 0 (err=%v):\n%s", n, err, metrics)
+	}
+	fmt.Fprintln(os.Stderr, "smoke-fleet: clean claim run settled with zero lease expirations and zero duplicates")
 
 	// Phase 2 — worker kill: find which worker holds the slow job's
 	// lease, wait until it is actually executing, SIGKILL it.
-	id, key, _, err := submit(coordBase, slowSpec)
+	id, key, _, err := drill.Submit(coordBase, "", slowSpec)
 	if err != nil {
 		return err
 	}
@@ -167,10 +170,10 @@ func workerKillDrill(bin string) error {
 
 	// The lease must expire and the survivor must finish the job with
 	// bytes identical to the uninterrupted reference.
-	if err := waitDone(coordBase, id, 3*time.Minute); err != nil {
+	if err := drill.WaitDone(coordBase, id, 3*time.Minute); err != nil {
 		return fmt.Errorf("job after worker kill: %w", err)
 	}
-	got, code, err = get(coordBase + "/jobs/" + id + "/result")
+	got, code, err = drill.Get(coordBase + "/jobs/" + id + "/result")
 	if err != nil {
 		return err
 	}
@@ -182,19 +185,21 @@ func workerKillDrill(bin string) error {
 	}
 	fmt.Fprintln(os.Stderr, "smoke-fleet: lease recovery produced byte-identical output")
 
-	metrics, _, err = get(coordBase + "/metrics")
+	metrics, _, err = drill.Get(coordBase + "/metrics")
 	if err != nil {
 		return err
 	}
-	exp, err := metricValue(metrics, "slipd_lease_expirations_total")
+	exp, err := drill.MetricValue(metrics, "slipd_lease_expirations_total")
 	if err != nil {
 		return err
 	}
 	if exp < 1 {
 		return fmt.Errorf("slipd_lease_expirations_total = %d, want >= 1:\n%s", exp, metrics)
 	}
-	if !strings.Contains(metrics, `slipd_workers{state="live"} 1`) {
-		return fmt.Errorf("metrics missing surviving worker gauge:\n%s", metrics)
+	// The victim's lease ran out before the survivor could reclaim it,
+	// so the victim is out of sight too: one worker left.
+	if !strings.Contains(metrics, "slipd_workers 1\n") {
+		return fmt.Errorf("metrics missing surviving worker gauge slipd_workers 1:\n%s", metrics)
 	}
 	fmt.Fprintf(os.Stderr, "smoke-fleet: coordinator counted %d expired lease(s)\n", exp)
 
@@ -203,11 +208,11 @@ func workerKillDrill(bin string) error {
 		if wid == victim {
 			continue
 		}
-		if err := stopGracefully(wp.cmd); err != nil {
+		if err := drill.StopGracefully(wp.cmd); err != nil {
 			return fmt.Errorf("stop worker %s: %w", wid, err)
 		}
 	}
-	return stopGracefully(coord)
+	return drill.StopGracefully(coord)
 }
 
 // coordinatorKillDrill: two peered coordinators, two workers claiming
@@ -215,42 +220,41 @@ func workerKillDrill(bin string) error {
 // the survivor's replicated copy must expire, be reclaimed, and settle
 // byte-identically with nothing stranded.
 func coordinatorKillDrill(bin string) error {
-	ref, err := referenceRun(bin, slowSpec)
+	ref, err := drill.ReferenceRun(bin, slowSpec)
 	if err != nil {
 		return fmt.Errorf("reference run: %w", err)
 	}
 
-	addrA, err := freeAddr()
+	addrA, err := drill.FreeAddr()
 	if err != nil {
 		return err
 	}
-	addrB, err := freeAddr()
+	addrB, err := drill.FreeAddr()
 	if err != nil {
 		return err
 	}
 	baseA, baseB := "http://"+addrA, "http://"+addrB
 
 	coordFlags := []string{"-no-persist", "-coordinator",
-		"-heartbeat-interval", "300ms", "-suspect-after", "1s", "-dead-after", "2s",
-		"-claim-lease", "2s"}
-	coA, err := startSlipdAt(bin, addrA, append(coordFlags, "-join-coordinator", baseB)...)
+		"-sync-interval", "300ms", "-claim-lease", "2s"}
+	coA, err := drill.StartAt(bin, addrA, append(coordFlags, "-join-coordinator", baseB)...)
 	if err != nil {
 		return err
 	}
 	defer coA.Process.Kill()
-	coB, err := startSlipdAt(bin, addrB, append(coordFlags, "-join-coordinator", baseA)...)
+	coB, err := drill.StartAt(bin, addrB, append(coordFlags, "-join-coordinator", baseA)...)
 	if err != nil {
 		return err
 	}
 	defer coB.Process.Kill()
 	for _, base := range []string{baseA, baseB} {
-		if err := waitReady(base, 10*time.Second); err != nil {
+		if err := drill.WaitReady(base, 10*time.Second); err != nil {
 			return err
 		}
 	}
 
 	for _, id := range []string{"w1", "w2"} {
-		cmd, _, err := startSlipd(bin, "-no-persist", "-worker",
+		cmd, _, err := drill.Start(bin, "-no-persist", "-worker",
 			"-join", baseA+","+baseB, "-worker-id", id, "-claim-poll", "500ms")
 		if err != nil {
 			return err
@@ -262,9 +266,9 @@ func coordinatorKillDrill(bin string) error {
 			return err
 		}
 	}
-	fmt.Fprintln(os.Stderr, "smoke-ha: 2 coordinators peered, 2 workers enrolled with both")
+	fmt.Fprintln(os.Stderr, "smoke-ha: 2 coordinators peered, 2 workers visible to both")
 
-	_, key, _, err := submit(baseA, slowSpec)
+	_, key, _, err := drill.Submit(baseA, "", slowSpec)
 	if err != nil {
 		return err
 	}
@@ -295,7 +299,7 @@ func coordinatorKillDrill(bin string) error {
 	if err := waitClaimState(survivorBase, key, "done", 3*time.Minute); err != nil {
 		return fmt.Errorf("claim never settled on survivor: %w", err)
 	}
-	got, code, err := get(survivorBase + "/results/" + key)
+	got, code, err := drill.Get(survivorBase + "/results/" + key)
 	if err != nil {
 		return err
 	}
@@ -307,18 +311,18 @@ func coordinatorKillDrill(bin string) error {
 	}
 	fmt.Fprintln(os.Stderr, "smoke-ha: survivor served byte-identical result bytes")
 
-	metrics, _, err := get(survivorBase + "/metrics")
+	metrics, _, err := drill.Get(survivorBase + "/metrics")
 	if err != nil {
 		return err
 	}
-	exp, err := metricValue(metrics, "slipd_lease_expirations_total")
+	exp, err := drill.MetricValue(metrics, "slipd_lease_expirations_total")
 	if err != nil {
 		return err
 	}
 	if exp < 1 {
 		return fmt.Errorf("survivor slipd_lease_expirations_total = %d, want >= 1:\n%s", exp, metrics)
 	}
-	if n, err := metricValue(metrics, `slipd_claims_total{outcome="done"}`); err != nil || n < 1 {
+	if n, err := drill.MetricValue(metrics, `slipd_claims_total{outcome="done"}`); err != nil || n < 1 {
 		return fmt.Errorf("survivor settled no claims (done=%d, err=%v):\n%s", n, err, metrics)
 	}
 
@@ -338,21 +342,21 @@ func coordinatorKillDrill(bin string) error {
 
 // degradedDrill: a coordinator with zero workers still answers, locally.
 func degradedDrill(bin string) error {
-	ref, err := referenceRun(bin, fastSpec)
+	ref, err := drill.ReferenceRun(bin, fastSpec)
 	if err != nil {
 		return fmt.Errorf("reference run: %w", err)
 	}
 
-	coord, base, err := startSlipd(bin, "-no-persist", "-coordinator")
+	coord, base, err := drill.Start(bin, "-no-persist", "-coordinator")
 	if err != nil {
 		return err
 	}
 	defer coord.Process.Kill()
-	if err := waitReady(base, 10*time.Second); err != nil {
+	if err := drill.WaitReady(base, 10*time.Second); err != nil {
 		return err
 	}
 
-	ready, _, err := get(base + "/readyz")
+	ready, _, err := drill.Get(base + "/readyz")
 	if err != nil {
 		return err
 	}
@@ -360,14 +364,14 @@ func degradedDrill(bin string) error {
 		return fmt.Errorf("zero-worker coordinator readyz = %s, want degraded:true", ready)
 	}
 
-	id, _, _, err := submit(base, fastSpec)
+	id, _, _, err := drill.Submit(base, "", fastSpec)
 	if err != nil {
 		return err
 	}
-	if err := waitDone(base, id, 2*time.Minute); err != nil {
+	if err := drill.WaitDone(base, id, 2*time.Minute); err != nil {
 		return fmt.Errorf("degraded job: %w", err)
 	}
-	got, code, err := get(base + "/jobs/" + id + "/result")
+	got, code, err := drill.Get(base + "/jobs/" + id + "/result")
 	if err != nil {
 		return err
 	}
@@ -375,12 +379,12 @@ func degradedDrill(bin string) error {
 		return fmt.Errorf("degraded result: HTTP %d, bytes match=%v", code, got == ref)
 	}
 
-	metrics, _, err := get(base + "/metrics")
+	metrics, _, err := drill.Get(base + "/metrics")
 	if err != nil {
 		return err
 	}
 	for _, want := range []string{
-		`slipd_workers{state="live"} 0`,
+		"slipd_workers 0\n",
 		"slipd_local_fallbacks_total 1",
 	} {
 		if !strings.Contains(metrics, want) {
@@ -388,20 +392,19 @@ func degradedDrill(bin string) error {
 		}
 	}
 	fmt.Fprintln(os.Stderr, "smoke-fleet: zero-worker coordinator executed locally in degraded mode")
-	return stopGracefully(coord)
+	return drill.StopGracefully(coord)
 }
 
 // clusterView mirrors GET /cluster/workers.
 type clusterView struct {
 	Workers []struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
+		ID string `json:"id"`
 	} `json:"workers"`
 	Degraded bool `json:"degraded"`
 }
 
 func clusterWorkers(base string) (clusterView, error) {
-	body, code, err := get(base + "/cluster/workers")
+	body, code, err := drill.Get(base + "/cluster/workers")
 	if err != nil {
 		return clusterView{}, err
 	}
@@ -424,7 +427,7 @@ type claimView struct {
 }
 
 func clusterClaims(base string) ([]claimView, error) {
-	body, code, err := get(base + "/cluster/claims")
+	body, code, err := drill.Get(base + "/cluster/claims")
 	if err != nil {
 		return nil, err
 	}
@@ -440,25 +443,16 @@ func clusterClaims(base string) ([]claimView, error) {
 	return cv.Claims, nil
 }
 
-// waitWorkers polls the fleet view until n workers are live.
+// waitWorkers polls the fleet view until n workers are visible.
 func waitWorkers(base string, n int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		cv, err := clusterWorkers(base)
-		if err == nil {
-			live := 0
-			for _, w := range cv.Workers {
-				if w.State == "live" {
-					live++
-				}
-			}
-			if live >= n {
-				return nil
-			}
+		if cv, err := clusterWorkers(base); err == nil && len(cv.Workers) >= n {
+			return nil
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	return fmt.Errorf("fewer than %d live workers within %s", n, timeout)
+	return fmt.Errorf("fewer than %d visible workers within %s", n, timeout)
 }
 
 // findClaimHolder polls the claim table until the job's key is leased to
@@ -521,11 +515,11 @@ func findGranter(a, b string, timeout time.Duration) (string, string, error) {
 }
 
 func grantedCount(base string) int {
-	metrics, code, err := get(base + "/metrics")
+	metrics, code, err := drill.Get(base + "/metrics")
 	if err != nil || code != http.StatusOK {
 		return 0
 	}
-	n, err := metricValue(metrics, `slipd_claims_total{outcome="granted"}`)
+	n, err := drill.MetricValue(metrics, `slipd_claims_total{outcome="granted"}`)
 	if err != nil {
 		return 0
 	}
@@ -537,7 +531,7 @@ func grantedCount(base string) int {
 func waitWorkerRunning(base string, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		body, code, err := get(base + "/jobs")
+		body, code, err := drill.Get(base + "/jobs")
 		if err == nil && code == http.StatusOK {
 			var list struct {
 				Jobs []struct {
@@ -555,181 +549,4 @@ func waitWorkerRunning(base string, timeout time.Duration) error {
 		time.Sleep(50 * time.Millisecond)
 	}
 	return fmt.Errorf("worker %s never started executing within %s", base, timeout)
-}
-
-// metricValue extracts an integer counter from a /metrics body. The name
-// may include a label set, e.g. `slipd_claims_total{outcome="done"}`.
-func metricValue(metrics, name string) (int, error) {
-	for _, line := range strings.Split(metrics, "\n") {
-		if strings.HasPrefix(line, name+" ") {
-			var v int
-			if _, err := fmt.Sscanf(strings.TrimPrefix(line, name+" "), "%d", &v); err != nil {
-				return 0, fmt.Errorf("parse %q: %w", line, err)
-			}
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("metric %s not found", name)
-}
-
-// referenceRun executes a spec to completion on a plain memory-only
-// instance and returns the rendered result.
-func referenceRun(bin, spec string) (string, error) {
-	cmd, base, err := startSlipd(bin, "-no-persist")
-	if err != nil {
-		return "", err
-	}
-	defer cmd.Process.Kill()
-	if err := waitReady(base, 10*time.Second); err != nil {
-		return "", err
-	}
-	id, _, _, err := submit(base, spec)
-	if err != nil {
-		return "", err
-	}
-	if err := waitDone(base, id, 3*time.Minute); err != nil {
-		return "", err
-	}
-	result, code, err := get(base + "/jobs/" + id + "/result")
-	if err != nil {
-		return "", err
-	}
-	if code != http.StatusOK {
-		return "", fmt.Errorf("GET result = %d", code)
-	}
-	return result, stopGracefully(cmd)
-}
-
-// freeAddr reserves a loopback address for a daemon that must know its
-// peers' addresses before any of them start.
-func freeAddr() (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr, nil
-}
-
-// startSlipd launches the daemon on a free port and returns the running
-// process plus its base URL.
-func startSlipd(bin string, extra ...string) (*exec.Cmd, string, error) {
-	addr, err := freeAddr()
-	if err != nil {
-		return nil, "", err
-	}
-	cmd, err := startSlipdAt(bin, addr, extra...)
-	if err != nil {
-		return nil, "", err
-	}
-	return cmd, "http://" + addr, nil
-}
-
-// startSlipdAt launches the daemon on a specific address.
-func startSlipdAt(bin, addr string, extra ...string) (*exec.Cmd, error) {
-	args := append([]string{"-addr", addr, "-workers", "1", "-drain", "2m"}, extra...)
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("start %s: %w", bin, err)
-	}
-	return cmd, nil
-}
-
-// stopGracefully SIGTERMs the daemon and requires a clean drain.
-func stopGracefully(cmd *exec.Cmd) error {
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("slipd exited non-zero after SIGTERM: %w", err)
-		}
-	case <-time.After(2 * time.Minute):
-		return fmt.Errorf("slipd did not exit within 2m of SIGTERM")
-	}
-	return nil
-}
-
-// submit POSTs a spec and returns the new job's id, cache key, and
-// whether it was served from the result cache.
-func submit(base, spec string) (id, key string, cached bool, err error) {
-	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(spec))
-	if err != nil {
-		return "", "", false, err
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return "", "", false, fmt.Errorf("POST /jobs = %d: %s", resp.StatusCode, body)
-	}
-	var sr struct {
-		Job struct {
-			ID  string `json:"id"`
-			Key string `json:"key"`
-		} `json:"job"`
-		Cached bool `json:"cached"`
-	}
-	if err := json.Unmarshal(body, &sr); err != nil {
-		return "", "", false, fmt.Errorf("decode submit response: %w (%s)", err, body)
-	}
-	return sr.Job.ID, sr.Job.Key, sr.Cached, nil
-}
-
-// waitReady polls /readyz, which only turns 200 after journal replay.
-func waitReady(base string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if _, code, err := get(base + "/readyz"); err == nil && code == http.StatusOK {
-			return nil
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return fmt.Errorf("%s/readyz not 200 within %s", base, timeout)
-}
-
-func waitDone(base, id string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		body, code, err := get(base + "/jobs/" + id)
-		if err != nil {
-			return err
-		}
-		if code != http.StatusOK {
-			return fmt.Errorf("GET /jobs/%s = %d: %s", id, code, body)
-		}
-		var v struct {
-			State string `json:"state"`
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal([]byte(body), &v); err != nil {
-			return err
-		}
-		switch v.State {
-		case "done":
-			return nil
-		case "failed":
-			return fmt.Errorf("job %s failed: %s", id, v.Error)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return fmt.Errorf("job %s not done within %s", id, timeout)
-}
-
-func get(url string) (string, int, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", 0, err
-	}
-	return string(b), resp.StatusCode, nil
 }

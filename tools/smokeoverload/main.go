@@ -18,14 +18,12 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"strings"
-	"syscall"
 	"time"
+
+	"repro/tools/internal/drill"
 )
 
 const (
@@ -53,14 +51,14 @@ func run(bin string) error {
 	// Flood tenant: weight 1, 0.5 jobs/sec, burst 2, backlog 8. Probe
 	// tenant: unlimited. Both admission domains on one worker, so
 	// fairness is decided purely by the scheduler.
-	cmd, base, err := startSlipd(bin, "-no-persist",
+	cmd, base, err := drill.Start(bin, "-no-persist",
 		"-tenant", "flood:"+floodKey+":1:0.5:2:8",
 		"-tenant", "probe:"+probeKey)
 	if err != nil {
 		return err
 	}
 	defer cmd.Process.Kill()
-	if err := waitHealthy(base, 10*time.Second); err != nil {
+	if err := drill.WaitHealthy(base, 10*time.Second); err != nil {
 		return err
 	}
 
@@ -70,7 +68,7 @@ func run(bin string) error {
 	admitted, refused := 0, 0
 	for i := 0; i < 8; i++ {
 		spec := fmt.Sprintf(`{"kind":"run","kernel":"CG","nodes":%d,"priority":"batch"}`, 8+i)
-		resp, body, err := post(base+"/jobs", floodKey, spec)
+		resp, body, err := drill.Post(base+"/jobs", floodKey, spec)
 		if err != nil {
 			return err
 		}
@@ -93,18 +91,14 @@ func run(bin string) error {
 
 	// Phase 2: the probe tenant submits one interactive job while the
 	// flood backlog is queued; it must complete promptly.
-	resp, body, err := post(base+"/jobs", probeKey, probeSpec)
+	probeID, _, _, err := drill.Submit(base, probeKey, probeSpec)
 	if err != nil {
-		return err
+		return fmt.Errorf("probe submission: %w", err)
 	}
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("probe submission = %d: %s", resp.StatusCode, body)
-	}
-	probeID := jobID(body)
-	if err := waitDone(base, probeID, time.Minute); err != nil {
+	if err := drill.WaitDone(base, probeID, time.Minute); err != nil {
 		return fmt.Errorf("probe under flood: %w", err)
 	}
-	loaded, code, err := get(base + "/jobs/" + probeID + "/result")
+	loaded, code, err := drill.Get(base + "/jobs/" + probeID + "/result")
 	if err != nil {
 		return err
 	}
@@ -121,7 +115,7 @@ func run(bin string) error {
 		`{"id":"a","spec":%s},`+
 		`{"id":"b","spec":{"kind":"run","kernel":"CG","nodes":6}},`+
 		`{"id":"c","after":["b"],"spec":{"kind":"run","kernel":"CG","nodes":7}}]}`, slowCell)
-	resp, body, err = post(base+"/campaigns", probeKey, campBody)
+	resp, body, err := drill.Post(base+"/campaigns", probeKey, campBody)
 	if err != nil {
 		return err
 	}
@@ -150,7 +144,7 @@ func run(bin string) error {
 	if cellAJob == "" {
 		return fmt.Errorf("campaign view has no job id for cell a: %s", body)
 	}
-	if err := waitState(base, cellAJob, "running", time.Minute); err != nil {
+	if err := drill.WaitState(base, cellAJob, "running", time.Minute); err != nil {
 		return err
 	}
 	req, err := http.NewRequest(http.MethodDelete, base+"/jobs/"+cellAJob, nil)
@@ -189,7 +183,7 @@ func run(bin string) error {
 
 	// Metrics: admission refusals, probe dispatches, and the campaign
 	// rollup are all visible.
-	metrics, _, err := get(base + "/metrics")
+	metrics, _, err := drill.Get(base + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -204,175 +198,22 @@ func run(bin string) error {
 		}
 	}
 
-	if err := stopGracefully(cmd); err != nil {
+	if err := drill.StopGracefully(cmd); err != nil {
 		return err
 	}
 
 	// Phase 4: the same probe spec on a fresh, unloaded slipd must
 	// produce byte-identical output — overload shapes scheduling, never
 	// results.
-	ref, refBase, err := startSlipd(bin, "-no-persist")
+	unloaded, err := drill.ReferenceRun(bin, probeSpec)
 	if err != nil {
-		return err
-	}
-	defer ref.Process.Kill()
-	if err := waitHealthy(refBase, 10*time.Second); err != nil {
-		return err
-	}
-	resp, body, err = post(refBase+"/jobs", "", probeSpec)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("reference submission = %d: %s", resp.StatusCode, body)
-	}
-	refID := jobID(body)
-	if err := waitDone(refBase, refID, time.Minute); err != nil {
-		return err
-	}
-	unloaded, code, err := get(refBase + "/jobs/" + refID + "/result")
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK {
-		return fmt.Errorf("reference result = %d", code)
+		return fmt.Errorf("unloaded reference run: %w", err)
 	}
 	if loaded != unloaded {
 		return fmt.Errorf("probe result under flood differs from unloaded run:\n--- loaded ---\n%s\n--- unloaded ---\n%s", loaded, unloaded)
 	}
 	fmt.Fprintln(os.Stderr, "smoke-overload: probe result byte-identical to unloaded run")
-	return stopGracefully(ref)
-}
-
-func startSlipd(bin string, extra ...string) (*exec.Cmd, string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, "", err
-	}
-	addr := l.Addr().String()
-	l.Close()
-
-	args := append([]string{"-addr", addr, "-workers", "1", "-drain", "2m"}, extra...)
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, "", fmt.Errorf("start %s: %w", bin, err)
-	}
-	return cmd, "http://" + addr, nil
-}
-
-func stopGracefully(cmd *exec.Cmd) error {
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("slipd exited non-zero after SIGTERM: %w", err)
-		}
-	case <-time.After(2 * time.Minute):
-		return fmt.Errorf("slipd did not exit within 2m of SIGTERM")
-	}
 	return nil
-}
-
-// post sends a JSON body with an optional tenant API key.
-func post(url, key, body string) (*http.Response, string, error) {
-	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
-	if err != nil {
-		return nil, "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if key != "" {
-		req.Header.Set("X-API-Key", key)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, "", err
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	return resp, string(b), nil
-}
-
-func jobID(submitBody string) string {
-	var sr struct {
-		Job struct {
-			ID string `json:"id"`
-		} `json:"job"`
-	}
-	json.Unmarshal([]byte(submitBody), &sr)
-	return sr.Job.ID
-}
-
-func waitHealthy(base string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if _, code, err := get(base + "/healthz"); err == nil && code == http.StatusOK {
-			return nil
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return fmt.Errorf("%s/healthz not 200 within %s", base, timeout)
-}
-
-type jobStateView struct {
-	State string `json:"state"`
-	Error string `json:"error"`
-}
-
-func waitDone(base, id string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		v, err := jobView(base, id)
-		if err != nil {
-			return err
-		}
-		if v.State == "done" {
-			return nil
-		}
-		if v.State == "failed" {
-			return fmt.Errorf("job %s failed: %s", id, v.Error)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("job %s not done within %s", id, timeout)
-}
-
-func waitState(base, id, want string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		v, err := jobView(base, id)
-		if err != nil {
-			return err
-		}
-		if v.State == want {
-			return nil
-		}
-		if v.State == "done" || v.State == "failed" {
-			return fmt.Errorf("job %s reached %q before %q", id, v.State, want)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	return fmt.Errorf("job %s not %s within %s", id, want, timeout)
-}
-
-func jobView(base, id string) (jobStateView, error) {
-	body, code, err := get(base + "/jobs/" + id)
-	if err != nil {
-		return jobStateView{}, err
-	}
-	if code != http.StatusOK {
-		return jobStateView{}, fmt.Errorf("GET /jobs/%s = %d: %s", id, code, body)
-	}
-	var v jobStateView
-	if err := json.Unmarshal([]byte(body), &v); err != nil {
-		return jobStateView{}, err
-	}
-	return v, nil
 }
 
 type cellView struct {
@@ -389,7 +230,7 @@ type campaignTerminalView struct {
 func waitCampaignTerminal(base, id string, timeout time.Duration) (campaignTerminalView, error) {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		body, code, err := get(base + "/campaigns/" + id)
+		body, code, err := drill.Get(base + "/campaigns/" + id)
 		if err != nil {
 			return campaignTerminalView{}, err
 		}
@@ -406,17 +247,4 @@ func waitCampaignTerminal(base, id string, timeout time.Duration) (campaignTermi
 		time.Sleep(50 * time.Millisecond)
 	}
 	return campaignTerminalView{}, fmt.Errorf("campaign %s not terminal within %s", id, timeout)
-}
-
-func get(url string) (string, int, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", 0, err
-	}
-	return string(b), resp.StatusCode, nil
 }
