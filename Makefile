@@ -19,14 +19,15 @@ vet:
 	$(GO) vet ./...
 
 # The experiment runner, pool, validate checkup, slipd server, journal
-# store, retrying client, fleet coordinator, the sim engine's pooled
-# context workers, and the omp task deques (concurrent steals under
-# injected stragglers) fan work out across goroutines; keep them
-# race-clean. -short skips only the paper-scale shape tests (simulation
-# numbers, no extra concurrency), so every racy path is still exercised
-# and the instrumented run stays within the go test timeout.
+# store, fleet coordinator, the sim engine's pooled context workers, and
+# the omp task deques (concurrent steals under injected stragglers) fan
+# work out across goroutines; keep them race-clean. -short skips only
+# the paper-scale shape tests (simulation numbers, no extra
+# concurrency), so every racy path is still exercised and the
+# instrumented run stays within the go test timeout. CI runs this
+# target, so the package list lives only here.
 race:
-	$(GO) test -race -short ./internal/sim/... ./internal/experiments/... ./internal/pool/... ./internal/validate/... ./internal/server/... ./internal/store/... ./internal/client/... ./internal/cluster/... ./internal/omp/...
+	$(GO) test -race -short ./internal/sim/... ./internal/experiments/... ./internal/pool/... ./internal/validate/... ./internal/server/... ./internal/store/... ./internal/cluster/... ./internal/omp/...
 
 verify: build test vet race
 

@@ -20,7 +20,9 @@
 // peered with -join-coordinator replicate the claim table to each other
 // leader-lessly, so any one of them can be SIGKILLed without stranding
 // work — a survivor's lease sweep reclaims in-flight jobs and serves
-// the byte-identical result. A coordinator sees a worker while it has
+// the byte-identical result. Each peer link runs behind a circuit
+// breaker that opens after 5 consecutive failed pushes and probes again
+// after 10 sync intervals. A coordinator sees a worker while it has
 // polled, renewed or reported within one claim lease, or holds an
 // unexpired lease in that coordinator's table; with no worker in sight
 // it executes jobs locally and sets "degraded":true on /readyz.
@@ -43,16 +45,17 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/cluster/netchaos"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -78,11 +81,6 @@ func main() {
 		syncEvery   = flag.Duration("sync-interval", time.Second, "coordinator: cadence of the lease sweep, replication pushes and dispatch watchdog")
 		claimLease  = flag.Duration("claim-lease", 10*time.Second, "coordinator: claim lease duration; an unrenewed lease this old is reclaimed, and a worker silent this long is no longer counted")
 		claimPoll   = flag.Duration("claim-poll", 2*time.Second, "long-poll hold for POST /cluster/claims (coordinator cap and worker request)")
-		brkFails    = flag.Int("breaker-failures", 0, "coordinator: consecutive replication failures before a peer's circuit breaker opens (default 5)")
-		brkCooldown = flag.Duration("breaker-cooldown", 0, "coordinator: how long an open peer breaker waits before its half-open probe (default 10× -sync-interval)")
-		maxReplLag  = flag.Duration("max-replication-lag", 0, "coordinator: shed new jobs (503 + Retry-After) while every peer's replication lag exceeds this (0 = never shed)")
-		chaosSpec   = flag.String("chaos-spec", "", "inject seeded control-plane faults on this node's outbound fleet HTTP, e.g. drop=0.05,delay=0.1:1ms:20ms,dup=0.02,reorder=0.05,skew=50ms (testing only)")
-		chaosSeed   = flag.Uint64("chaos-seed", 1, "seed for -chaos-spec; one seed fully determines the fault schedule")
 
 		tenantWeight  = flag.Int("tenant-weight", 0, "default fair-queueing weight for tenants not named by -tenant (0 = 1)")
 		tenantRate    = flag.Float64("tenant-rate", 0, "default per-tenant admission rate in jobs/sec (0 = unlimited)")
@@ -139,11 +137,6 @@ func main() {
 		sync:        *syncEvery,
 		lease:       *claimLease,
 		poll:        *claimPoll,
-		brkFails:    *brkFails,
-		brkCooldown: *brkCooldown,
-		maxReplLag:  *maxReplLag,
-		chaosSpec:   *chaosSpec,
-		chaosSeed:   *chaosSeed,
 	}
 	if err := run(*addr, cfg, fleet, *drain); err != nil {
 		fmt.Fprintln(os.Stderr, "slipd:", err)
@@ -161,15 +154,13 @@ type fleetConfig struct {
 	sync        time.Duration
 	lease       time.Duration
 	poll        time.Duration
-	brkFails    int
-	brkCooldown time.Duration
-	maxReplLag  time.Duration
-	chaosSpec   string
-	chaosSeed   uint64
 }
 
 // parseTenant parses one -tenant value: name:key[:weight[:rate[:burst[:backlog]]]].
-// Omitted numeric fields take the -tenant-* defaults (zero values).
+// An omitted or empty numeric field is zero, and so is an explicit 0:
+// weight 1, unlimited rate and backlog, burst max(rate, 1). Every other
+// value must parse whole and be non-negative; rate and burst must also
+// be finite.
 func parseTenant(s string) (server.TenantConfig, error) {
 	parts := strings.Split(s, ":")
 	if len(parts) < 2 || len(parts) > 6 {
@@ -182,28 +173,53 @@ func parseTenant(s string) (server.TenantConfig, error) {
 	if tc.Key == "" && tc.Name != server.DefaultTenant {
 		return server.TenantConfig{}, fmt.Errorf("tenant %q: empty API key (only %q may omit it)", s, server.DefaultTenant)
 	}
-	var err error
-	if len(parts) > 2 && parts[2] != "" {
-		if _, err = fmt.Sscanf(parts[2], "%d", &tc.Weight); err != nil {
-			return server.TenantConfig{}, fmt.Errorf("tenant %q: bad weight %q", s, parts[2])
+	for i, field := range parts[2:] {
+		if field == "" {
+			continue
 		}
-	}
-	if len(parts) > 3 && parts[3] != "" {
-		if _, err = fmt.Sscanf(parts[3], "%g", &tc.Rate); err != nil {
-			return server.TenantConfig{}, fmt.Errorf("tenant %q: bad rate %q", s, parts[3])
+		var err error
+		switch i {
+		case 0:
+			tc.Weight, err = parseCount(field)
+		case 1:
+			tc.Rate, err = parseFinite(field)
+		case 2:
+			tc.Burst, err = parseFinite(field)
+		case 3:
+			tc.Backlog, err = parseCount(field)
 		}
-	}
-	if len(parts) > 4 && parts[4] != "" {
-		if _, err = fmt.Sscanf(parts[4], "%g", &tc.Burst); err != nil {
-			return server.TenantConfig{}, fmt.Errorf("tenant %q: bad burst %q", s, parts[4])
-		}
-	}
-	if len(parts) > 5 && parts[5] != "" {
-		if _, err = fmt.Sscanf(parts[5], "%d", &tc.Backlog); err != nil {
-			return server.TenantConfig{}, fmt.Errorf("tenant %q: bad backlog %q", s, parts[5])
+		if err != nil {
+			name := [...]string{"weight", "rate", "burst", "backlog"}[i]
+			return server.TenantConfig{}, fmt.Errorf("tenant %q: bad %s %q: %v", s, name, field, err)
 		}
 	}
 	return tc, nil
+}
+
+// parseCount parses a whole non-negative decimal integer.
+func parseCount(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	switch {
+	case err != nil:
+		return 0, errors.New("not an integer")
+	case n < 0:
+		return 0, errors.New("negative")
+	}
+	return n, nil
+}
+
+// parseFinite parses a whole non-negative finite number.
+func parseFinite(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	switch {
+	case err != nil && !errors.Is(err, strconv.ErrRange):
+		return 0, errors.New("not a number")
+	case math.IsNaN(f) || math.IsInf(f, 0):
+		return 0, errors.New("not finite")
+	case f < 0:
+		return 0, errors.New("negative")
+	}
+	return f, nil
 }
 
 // splitURLs parses a comma-separated URL list, trimming blanks and
@@ -233,41 +249,16 @@ func run(addr string, cfg server.Config, fleet fleetConfig, drain time.Duration)
 		fmt.Fprintf(os.Stderr, "slipd: "+format+"\n", args...)
 	}
 
-	// Control-plane chaos (testing only): a seeded fault layer on this
-	// node's outbound fleet HTTP — claims, renewals, reports,
-	// replication — so a live fleet can be drilled with reproducible
-	// network weather. The data plane (client-facing /jobs) is untouched.
-	var fleetHTTP *http.Client
-	if fleet.chaosSpec != "" {
-		spec, err := netchaos.ParseSpec(fleet.chaosSpec)
-		if err != nil {
-			return fmt.Errorf("parse -chaos-spec: %w", err)
-		}
-		spec.Seed = fleet.chaosSeed
-		chaos, err := netchaos.New(spec)
-		if err != nil {
-			return fmt.Errorf("arm -chaos-spec: %w", err)
-		}
-		self := selfURL(addr)
-		fleetHTTP = &http.Client{Transport: chaos.Transport(self, nil)}
-		cfg.ChaosInjected = func() uint64 { return chaos.Counters().Total() }
-		logf("control-plane chaos armed: %s (seed %d)", spec, fleet.chaosSeed)
-	}
-
 	var co *cluster.Coordinator
 	if fleet.coordinator {
 		ccfg := cluster.Config{
-			SyncInterval:      fleet.sync,
-			LeaseDuration:     fleet.lease,
-			ClaimWait:         fleet.poll,
-			MaxAttempts:       cfg.MaxAttempts,
-			Peers:             fleet.peers,
-			SelfID:            selfURL(addr),
-			BreakerFailures:   fleet.brkFails,
-			BreakerCooldown:   fleet.brkCooldown,
-			MaxReplicationLag: fleet.maxReplLag,
-			HTTPClient:        fleetHTTP,
-			Logf:              logf,
+			SyncInterval:  fleet.sync,
+			LeaseDuration: fleet.lease,
+			ClaimWait:     fleet.poll,
+			MaxAttempts:   cfg.MaxAttempts,
+			Peers:         fleet.peers,
+			SelfID:        selfURL(addr),
+			Logf:          logf,
 		}
 		if cfg.DataDir != "" {
 			// The claim table gets its own journal beside the server's: a
@@ -345,11 +336,10 @@ func run(addr string, cfg server.Config, fleet fleetConfig, drain time.Duration)
 			Slots:        cfg.Workers,
 			PollWait:     fleet.poll,
 			KeyFor:       srv.CacheKeyFor,
-			HTTPClient:   fleetHTTP,
 			Run: func(ctx context.Context, spec []byte) ([]byte, error) {
 				view, _, err := srv.SubmitJSON(spec)
 				if err != nil {
-					if errors.Is(err, server.ErrQueueFull) || errors.Is(err, server.ErrDraining) || errors.Is(err, server.ErrBackpressure) {
+					if errors.Is(err, server.ErrQueueFull) || errors.Is(err, server.ErrDraining) {
 						// Transient local refusal: abandon without a report so
 						// the lease expires instead of burning an attempt.
 						return nil, fmt.Errorf("%w: %v", cluster.ErrClaimAbandoned, err)

@@ -42,11 +42,6 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker waits before probing
 	// (default 10× the sync interval).
 	BreakerCooldown time.Duration
-	// MaxReplicationLag, when positive, arms backpressure: if every
-	// peer's last successful replication push is older than this, the
-	// server sheds new submissions with 503 + Retry-After until a push
-	// lands again. Zero disables shedding.
-	MaxReplicationLag time.Duration
 	// DisableMergeTerminalWins turns off the incoming-terminal-settles
 	// precedence rule in the claim-table merge. It exists solely so the
 	// simulation harness can prove its invariant checker catches a broken

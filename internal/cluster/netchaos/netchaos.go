@@ -97,7 +97,7 @@ func (s Spec) Active() bool {
 	return s.Drop > 0 || s.Delay > 0 || s.Dup > 0 || s.Reorder > 0 || s.SkewMax > 0
 }
 
-// String renders the plan in the -chaos-spec grammar.
+// String renders the plan in the ParseSpec grammar.
 func (s Spec) String() string {
 	var parts []string
 	if s.Drop > 0 {
@@ -121,14 +121,14 @@ func (s Spec) String() string {
 	return strings.Join(parts, ",")
 }
 
-// ParseSpec parses the -chaos-spec grammar: comma-separated key=value
+// ParseSpec parses the chaos spec grammar: comma-separated key=value
 // terms, e.g.
 //
 //	drop=0.05,delay=0.1:1ms:20ms,dup=0.02,reorder=0.05,skew=50ms
 //
 // delay takes rate:min:max (min/max optional, default 1ms:25ms); every
-// other term takes a bare rate or duration. The seed comes from the
-// separate -chaos-seed flag so one spec can sweep many seeds.
+// other term takes a bare rate or duration. The seed is set separately
+// (Spec.Seed) so one spec can sweep many seeds.
 func ParseSpec(in string) (Spec, error) {
 	s := Spec{DelayMin: time.Millisecond, DelayMax: 25 * time.Millisecond}
 	in = strings.TrimSpace(in)
@@ -311,14 +311,6 @@ func (c *Chaos) Counters() Counters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ctr
-}
-
-// Total returns the lifetime injected-fault count (the
-// slipd_chaos_injected_total metric).
-func (c *Chaos) Total() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ctr.Total()
 }
 
 // Skew returns the node's seed-drawn clock offset in [-SkewMax, +SkewMax].

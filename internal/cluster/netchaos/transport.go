@@ -23,39 +23,12 @@ var ErrInjected = errors.New("netchaos: injected network fault")
 // this by the cluster wire caps.
 const maxBodyBuffer = 32 << 20
 
-// deliverFunc delivers one buffered request and returns the response.
-type deliverFunc func(ctx context.Context, method, url string, header http.Header, body []byte) (*http.Response, error)
-
 // Transport is an http.RoundTripper that subjects every request leaving
-// one named node to the chaos plan. Build one with Chaos.Transport
-// (wrapping a real network transport) or Network.Transport (in-process
-// delivery straight into a registered handler).
+// one named node to the chaos plan and delivers the survivors in
+// process. Build one with Network.Transport.
 type Transport struct {
-	chaos   *Chaos
-	from    string
-	deliver deliverFunc
-}
-
-// Transport wraps inner (nil = http.DefaultTransport) so every request
-// sent through it is judged by the chaos plan. from names the sending
-// node; the target node is the request's URL host, so per-link draw
-// streams line up with real topology.
-func (c *Chaos) Transport(from string, inner http.RoundTripper) *Transport {
-	if inner == nil {
-		inner = http.DefaultTransport
-	}
-	return &Transport{
-		chaos: c,
-		from:  from,
-		deliver: func(ctx context.Context, method, url string, header http.Header, body []byte) (*http.Response, error) {
-			req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
-			if err != nil {
-				return nil, err
-			}
-			copyHeader(req.Header, header)
-			return inner.RoundTrip(req)
-		},
-	}
+	net  *Network
+	from string
 }
 
 // RoundTrip implements http.RoundTripper: judge the message, then lose,
@@ -66,7 +39,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := t.chaos.judge(t.from, to)
+	v := t.net.chaos.judge(t.from, to)
 
 	switch {
 	case v.partitioned:
@@ -92,14 +65,14 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			if resp, err := t.deliver(ctx, req.Method, req.URL.String(), req.Header, body); err == nil {
+			if resp, err := t.net.deliver(ctx, req.Method, req.URL.String(), req.Header, body); err == nil {
 				io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodyBuffer))
 				resp.Body.Close()
 			}
 		}()
 	}
 
-	resp, err := t.deliver(req.Context(), req.Method, req.URL.String(), req.Header, body)
+	resp, err := t.net.deliver(req.Context(), req.Method, req.URL.String(), req.Header, body)
 	if err != nil {
 		return nil, err
 	}
@@ -186,39 +159,39 @@ func (n *Network) URL(name string) string { return "http://" + name }
 
 // Transport builds the chaos round-tripper for messages leaving from.
 func (n *Network) Transport(from string) *Transport {
-	return &Transport{
-		chaos: n.chaos,
-		from:  from,
-		deliver: func(ctx context.Context, method, url string, header http.Header, body []byte) (*http.Response, error) {
-			req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
-			if err != nil {
-				return nil, err
-			}
-			copyHeader(req.Header, header)
-			// Resolve at delivery time, not judge time: a node that
-			// crashed while the message was held in the network refuses
-			// it, exactly like a real dead peer.
-			n.mu.Lock()
-			h, ok := n.nodes[req.URL.Host]
-			n.mu.Unlock()
-			if !ok {
-				return nil, fmt.Errorf("netchaos: connect %s: connection refused", req.URL.Host)
-			}
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			// A node that crashed while serving loses the connection:
-			// the side effect may have landed, the reply never does.
-			n.mu.Lock()
-			_, still := n.nodes[req.URL.Host]
-			n.mu.Unlock()
-			if !still {
-				return nil, fmt.Errorf("netchaos: read %s: connection reset", req.URL.Host)
-			}
-			resp := rec.Result()
-			resp.Request = req
-			return resp, nil
-		},
+	return &Transport{net: n, from: from}
+}
+
+// deliver hands one buffered request straight to the target node's
+// handler and returns its response.
+func (n *Network) deliver(ctx context.Context, method, url string, header http.Header, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
 	}
+	copyHeader(req.Header, header)
+	// Resolve at delivery time, not judge time: a node that crashed
+	// while the message was held in the network refuses it, exactly like
+	// a real dead peer.
+	n.mu.Lock()
+	h, ok := n.nodes[req.URL.Host]
+	n.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("netchaos: connect %s: connection refused", req.URL.Host)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	// A node that crashed while serving loses the connection: the side
+	// effect may have landed, the reply never does.
+	n.mu.Lock()
+	_, still := n.nodes[req.URL.Host]
+	n.mu.Unlock()
+	if !still {
+		return nil, fmt.Errorf("netchaos: read %s: connection reset", req.URL.Host)
+	}
+	resp := rec.Result()
+	resp.Request = req
+	return resp, nil
 }
 
 // Client returns an http.Client whose requests leave from the named

@@ -67,22 +67,6 @@ func (p *peerLink) status(now time.Time) server.PeerStatus {
 	return s
 }
 
-// lag is how far behind this peer's copy of the claim table may be:
-// time since the last successful push. Unattempted peers report zero
-// (the loop hasn't run yet); attempted-but-never-successful peers
-// report the maximum.
-func (p *peerLink) lag(now time.Time) time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.attempted {
-		return 0
-	}
-	if p.lastOK.IsZero() {
-		return time.Duration(1<<63 - 1)
-	}
-	return now.Sub(p.lastOK)
-}
-
 // allow reports whether the replication loop should push to this peer
 // now. An open breaker swallows pushes until the cooldown elapses, then
 // lets exactly one through as the half-open probe.
@@ -193,31 +177,4 @@ func (co *Coordinator) postReplicate(url string, body []byte) error {
 		return fmt.Errorf("peer answered HTTP %d", resp.StatusCode)
 	}
 	return nil
-}
-
-// ShedNewJobs implements replication-lag backpressure: it reports true
-// (with a suggested retry delay) when every peer's last successful push
-// is older than MaxReplicationLag — meaning nothing this coordinator
-// accepts right now is durably mirrored anywhere. The server answers
-// new submissions with 503 + Retry-After while this holds. Disabled
-// when MaxReplicationLag is zero or the coordinator has no peers.
-func (co *Coordinator) ShedNewJobs() (time.Duration, bool) {
-	if co.cfg.MaxReplicationLag <= 0 || len(co.peers) == 0 {
-		return 0, false
-	}
-	now := co.cfg.Now()
-	min := time.Duration(1<<63 - 1)
-	for _, p := range co.peers {
-		if l := p.lag(now); l < min {
-			min = l
-		}
-	}
-	if min <= co.cfg.MaxReplicationLag {
-		return 0, false
-	}
-	retry := co.cfg.SyncInterval
-	if retry < time.Second {
-		retry = time.Second
-	}
-	return retry, true
 }

@@ -154,19 +154,6 @@ func cellLabel(cutoff int) string {
 	return fmt.Sprintf("cut=%d", cutoff)
 }
 
-// TotalSteals sums the deque steals across all cells.
-func (s *TasksSuite) TotalSteals() uint64 {
-	var t uint64
-	for _, rows := range s.Rows {
-		for _, row := range rows {
-			for _, r := range row.Results {
-				t += r.Steals
-			}
-		}
-	}
-	return t
-}
-
 // Table renders the grid in the Fig2–Fig5 deterministic style. Per cell:
 // cycles, tasks executed, steals, speedup versus the loop/single baseline
 // at the same team size ("vs-loop" > 1 means the tasking version wins),

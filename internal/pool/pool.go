@@ -66,6 +66,12 @@ func ForEachCtx(ctx context.Context, jobs, n int, fn func(int)) error {
 	}
 	var err error
 	for i := 0; i < n && err == nil; i++ {
+		// Check first: with a worker ready, select picks at random
+		// between the send and ctx.Done(), so a cancelled context could
+		// still dispatch.
+		if err = ctx.Err(); err != nil {
+			break
+		}
 		select {
 		case idx <- i:
 		case <-ctx.Done():

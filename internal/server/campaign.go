@@ -83,18 +83,11 @@ type CampaignCellSpec struct {
 	Spec  JobSpec  `json:"spec"`
 }
 
-// decodeCampaignSpec parses a campaign strictly, like decodeSpec:
-// unknown fields and trailing data are rejected.
+// decodeCampaignSpec parses a campaign strictly, like decodeSpec.
 func decodeCampaignSpec(r io.Reader) (CampaignSpec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var cs CampaignSpec
-	if err := dec.Decode(&cs); err != nil {
+	if err := decodeStrict(r, &cs, "campaign spec"); err != nil {
 		return CampaignSpec{}, err
-	}
-	var trailing any
-	if err := dec.Decode(&trailing); err != io.EOF {
-		return CampaignSpec{}, fmt.Errorf("trailing data after campaign spec")
 	}
 	return cs, nil
 }
@@ -348,18 +341,12 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		httpError(w, http.StatusServiceUnavailable, ErrDraining)
+		writeRefusal(w, ErrDraining)
 		return
 	}
 	tenant := s.sched.resolve(apiKeyFrom(r))
 	if err := s.sched.admitCampaign(tenant, len(cc.cells)); err != nil {
-		secs := 1
-		var tl *tenantLimitedError
-		if errors.As(err, &tl) {
-			secs = retryAfterSeconds(tl.retryAfter)
-		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-		httpError(w, http.StatusTooManyRequests, err)
+		writeRefusal(w, err)
 		return
 	}
 	camp := s.registerCampaign(cc, tenant)
@@ -416,7 +403,7 @@ func (s *Server) launchReady(camp *campaign) {
 				cell.state = cellPending
 			}
 			camp.mu.Unlock()
-			if errors.Is(rerr, ErrQueueFull) || errors.Is(rerr, ErrBackpressure) {
+			if errors.Is(rerr, ErrQueueFull) {
 				// Global pressure: the cells are already admitted, they
 				// just wait for room.
 				time.AfterFunc(campaignRetryDelay, func() { s.launchReady(camp) })
@@ -702,45 +689,18 @@ func (s *Server) handleCampaignGet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleCampaignEvents streams the campaign's rollup lines as SSE:
-// full replay, then live rollups, then a terminal "state" event.
+// handleCampaignEvents streams the campaign's rollup lines as SSE,
+// ending with its terminal state.
 func (s *Server) handleCampaignEvents(w http.ResponseWriter, r *http.Request) {
 	camp := s.lookupCampaign(w, r)
 	if camp == nil {
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	replay, live := camp.broker.subscribe()
-	defer camp.broker.unsubscribe(live)
-	for _, line := range replay {
-		fmt.Fprintf(w, "event: progress\ndata: %s\n\n", line)
-	}
-	flusher.Flush()
-	for {
-		select {
-		case line, ok := <-live:
-			if !ok {
-				camp.mu.Lock()
-				state := camp.state
-				camp.mu.Unlock()
-				fmt.Fprintf(w, "event: state\ndata: %s\n\n", state)
-				flusher.Flush()
-				return
-			}
-			fmt.Fprintf(w, "event: progress\ndata: %s\n\n", line)
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+	camp.broker.serveEvents(w, r, func() string {
+		camp.mu.Lock()
+		defer camp.mu.Unlock()
+		return camp.state
+	})
 }
 
 // handleCampaignCancel stops a campaign: pending cells skip, launched

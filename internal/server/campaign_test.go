@@ -103,6 +103,7 @@ func TestCampaignValidation(t *testing.T) {
 	}{
 		{"empty", `{"cells":[]}`, "at least one cell"},
 		{"unknown field", `{"cellz":[]}`, "unknown field"},
+		{"trailing data", fmt.Sprintf(`{"cells":[%s]} {}`, campCellBody("a", 2)), "trailing data after campaign spec"},
 		{"bad id", `{"cells":[{"id":"a/b","spec":{"kind":"run","kernel":"CG"}}]}`, "invalid id"},
 		{"dup id", fmt.Sprintf(`{"cells":[%s,%s]}`, campCellBody("a", 2), campCellBody("a", 3)), "duplicate cell id"},
 		{"unknown dep", fmt.Sprintf(`{"cells":[%s]}`, campCellBody("a", 2, "ghost")), "unknown cell"},

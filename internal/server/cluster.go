@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 )
 
 // Fleet seam: a Server configured with a Cluster backend routes job
@@ -67,14 +66,6 @@ type ClusterStats struct {
 type Cluster interface {
 	Dispatch(ctx context.Context, key, label, tenant string, priority int, spec JobSpec, progress io.Writer) ([]byte, error)
 	Stats() ClusterStats
-}
-
-// Shedder is the optional backpressure seam a Cluster backend may
-// implement: when it reports shed=true, the admission path refuses
-// brand-new submissions with ErrBackpressure (503 + Retry-After over
-// HTTP) until replication catches back up.
-type Shedder interface {
-	ShedNewJobs() (retryAfter time.Duration, shed bool)
 }
 
 // executeOrDispatch is the seam runJob calls: without a cluster backend

@@ -53,7 +53,6 @@ type metrics struct {
 	retries     uint64 // executions of a job beyond its first attempt
 	journalErrs uint64 // journal/store writes that failed (durability degraded)
 	localFalls  uint64 // jobs a coordinator executed locally for want of workers
-	replShed    uint64 // submissions 503'd because replication lagged every peer
 	latency     map[string]*histogram
 }
 
@@ -157,14 +156,6 @@ func (m *metrics) localFallback() {
 	m.localFalls++
 }
 
-// replicationShed records a submission refused under replication-lag
-// backpressure.
-func (m *metrics) replicationShed() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.replShed++
-}
-
 // addFaults accumulates a fault-plan run's injected-fault and recovery
 // counts.
 func (m *metrics) addFaults(injected, recovered uint64) {
@@ -195,8 +186,6 @@ type durabilityStats struct {
 	StoreMisses  uint64
 }
 
-// write renders the exposition. Series are emitted in sorted order so the
-// output is deterministic and diffable.
 // breakerValue maps a PeerStatus.Breaker name onto the gauge scale
 // (0 closed, 1 half-open, 2 open).
 func breakerValue(name string) int {
@@ -210,7 +199,9 @@ func breakerValue(name string) int {
 	}
 }
 
-func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durabilityStats, cluster *ClusterStats, chaos func() uint64, tenants []tenantStat, campaigns []campaignStat) {
+// write renders the exposition. Series are emitted in sorted order so the
+// output is deterministic and diffable.
+func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durabilityStats, cluster *ClusterStats, tenants []tenantStat, campaigns []campaignStat) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -296,10 +287,6 @@ func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durab
 		fmt.Fprintln(w, "# TYPE slipd_local_fallbacks_total counter")
 		fmt.Fprintf(w, "slipd_local_fallbacks_total %d\n", m.localFalls)
 
-		fmt.Fprintln(w, "# HELP slipd_replication_shed_total Submissions refused 503 because replication lagged every peer past the bound.")
-		fmt.Fprintln(w, "# TYPE slipd_replication_shed_total counter")
-		fmt.Fprintf(w, "slipd_replication_shed_total %d\n", m.replShed)
-
 		if len(cluster.Peers) > 0 {
 			fmt.Fprintln(w, "# HELP slipd_breaker_state Replication circuit breaker per peer (0 closed, 1 half-open, 2 open).")
 			fmt.Fprintln(w, "# TYPE slipd_breaker_state gauge")
@@ -307,12 +294,6 @@ func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durab
 				fmt.Fprintf(w, "slipd_breaker_state{peer=%q} %d\n", p.URL, breakerValue(p.Breaker))
 			}
 		}
-	}
-
-	if chaos != nil {
-		fmt.Fprintln(w, "# HELP slipd_chaos_injected_total Control-plane network faults manufactured by the netchaos layer in this process.")
-		fmt.Fprintln(w, "# TYPE slipd_chaos_injected_total counter")
-		fmt.Fprintf(w, "slipd_chaos_injected_total %d\n", chaos())
 	}
 
 	fmt.Fprintln(w, "# HELP slipd_jobs Jobs currently in each state.")

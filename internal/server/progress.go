@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"fmt"
+	"net/http"
 	"sync"
 )
 
@@ -109,4 +111,39 @@ func (b *broker) history() []string {
 	out := make([]string, len(b.lines))
 	copy(out, b.lines)
 	return out
+}
+
+// serveEvents streams the broker as server-sent events: full replay for
+// late subscribers, then live lines, then a terminal "state" event whose
+// data is state() read once the broker has closed.
+func (b *broker) serveEvents(w http.ResponseWriter, r *http.Request, state func() string) {
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
+		return
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+
+	replay, live := b.subscribe()
+	defer b.unsubscribe(live)
+	for _, line := range replay {
+		fmt.Fprintf(w, "event: progress\ndata: %s\n\n", line)
+	}
+	flusher.Flush()
+	for {
+		select {
+		case line, ok := <-live:
+			if !ok {
+				fmt.Fprintf(w, "event: state\ndata: %s\n\n", state())
+				flusher.Flush()
+				return
+			}
+			fmt.Fprintf(w, "event: progress\ndata: %s\n\n", line)
+			flusher.Flush()
+		case <-r.Context().Done():
+			return
+		}
+	}
 }

@@ -313,19 +313,6 @@ func (sc *scheduler) admitCampaign(tenantName string, cells int) error {
 	return nil
 }
 
-// room reports whether a campaign cell for the tenant would fit right
-// now (tenant backlog and global depth both have space). The campaign
-// launcher paces on it instead of failing cells.
-func (sc *scheduler) room(tenantName string) bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	tn := sc.tenantLocked(tenantName)
-	if tn.limits.Backlog > 0 && tn.queued >= tn.limits.Backlog {
-		return false
-	}
-	return sc.depthCap <= 0 || sc.queued < sc.depthCap
-}
-
 // force queues a job unconditionally — the crash-recovery requeue
 // path, which must never drop journaled work.
 func (sc *scheduler) force(j *Job) {

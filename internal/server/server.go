@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,10 +54,6 @@ type Config struct {
 	// to local in-process execution when the backend reports
 	// ErrNoWorkers.
 	Cluster Cluster
-	// ChaosInjected, when set, is sampled by /metrics into the
-	// slipd_chaos_injected_total counter — the number of control-plane
-	// network faults the netchaos layer has manufactured in this process.
-	ChaosInjected func() uint64
 	// Tenants configures named tenants with API keys and per-tenant
 	// admission limits. Requests without a recognized key run as the
 	// shared default tenant under TenantDefaults.
@@ -175,24 +172,12 @@ type submitResponse struct {
 }
 
 // Submission sentinels, shared by POST /jobs and the programmatic
-// SubmitJSON path (the cluster dispatch endpoint maps them to 503s).
+// SubmitJSON path (a fleet worker abandons its claim on them, so the
+// lease expires instead of burning an attempt).
 var (
 	ErrDraining  = errors.New("server is draining")
 	ErrQueueFull = errors.New("job queue is full")
-	// ErrBackpressure marks a submission shed because replication to
-	// every peer coordinator is lagging past the configured bound —
-	// accepting new work would mean work only this node knows about.
-	ErrBackpressure = errors.New("replication lagging; new submissions shed")
 )
-
-// backpressureError carries the suggested retry delay alongside the
-// ErrBackpressure identity (errors.Is matches the sentinel).
-type backpressureError struct{ retryAfter time.Duration }
-
-func (e *backpressureError) Error() string {
-	return fmt.Sprintf("%v (retry in %s)", ErrBackpressure, e.retryAfter)
-}
-func (e *backpressureError) Unwrap() error { return ErrBackpressure }
 
 // SubmitOutcome reports how a submission was answered.
 type SubmitOutcome struct {
@@ -237,31 +222,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j, out, err := s.register(c, key, sub)
 	switch {
-	case errors.Is(err, ErrDraining):
-		httpError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrTenantLimited):
-		// The submitting tenant's own limit: 429, not 503 — the daemon
-		// has capacity, this caller is over its share.
-		secs := 1
-		var tl *tenantLimitedError
-		if errors.As(err, &tl) {
-			secs = retryAfterSeconds(tl.retryAfter)
-		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-		httpError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrQueueFull):
-		// Retry-After tells well-behaved clients to back off instead of
-		// hammering.
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrBackpressure):
-		secs := 1
-		var bp *backpressureError
-		if errors.As(err, &bp) && bp.retryAfter > time.Second {
-			secs = int((bp.retryAfter + time.Second - 1) / time.Second)
-		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-		httpError(w, http.StatusServiceUnavailable, err)
+	case err != nil:
+		writeRefusal(w, err)
 	case out.Dedup:
 		writeJSON(w, http.StatusOK, submitResponse{Job: j.snapshot(), Dedup: true})
 	default:
@@ -269,21 +231,36 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// writeRefusal answers a submission the server would not take: 503
+// while draining, 429 + Retry-After when the tenant is over its own
+// limits, and 503 + Retry-After when the global queue is full.
+func writeRefusal(w http.ResponseWriter, err error) {
+	var tl *tenantLimitedError
+	switch {
+	case errors.Is(err, ErrDraining):
+		httpError(w, http.StatusServiceUnavailable, err)
+	case errors.As(err, &tl):
+		// The submitting tenant's own limit: 429, not 503 — the daemon
+		// has capacity, this caller is over its share.
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(tl.retryAfter)))
+		httpError(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, ErrQueueFull):
+		// Retry-After tells well-behaved clients to back off instead of
+		// hammering.
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusServiceUnavailable, err)
+	default:
+		httpError(w, http.StatusInternalServerError, err)
+	}
+}
+
 // SubmitJSON registers a spec exactly as POST /jobs does — single-flight
 // dedup, tiered cache lookup, queue-full shedding — and returns the
-// job's view. It is the programmatic seam the cluster worker endpoint
-// submits dispatched jobs through. Spec errors come back as-is;
-// ErrDraining and ErrQueueFull mark transient refusals.
+// job's view. It is the seam a fleet worker's claim loop submits
+// granted specs through. Spec errors come back as-is; ErrDraining and
+// ErrQueueFull mark transient refusals.
 func (s *Server) SubmitJSON(specJSON []byte) (JobView, SubmitOutcome, error) {
-	spec, err := decodeSpec(bytes.NewReader(specJSON))
-	if err != nil {
-		return JobView{}, SubmitOutcome{}, err
-	}
-	c, err := compile(spec)
-	if err != nil {
-		return JobView{}, SubmitOutcome{}, err
-	}
-	key, err := c.cacheKey(s.cfg.Version)
+	c, key, err := s.compileJSON(specJSON)
 	if err != nil {
 		return JobView{}, SubmitOutcome{}, err
 	}
@@ -299,18 +276,25 @@ func (s *Server) SubmitJSON(specJSON []byte) (JobView, SubmitOutcome, error) {
 
 // CacheKeyFor compiles a spec and returns the content-addressed cache
 // key it would run under on this server, without registering anything.
-// The cluster worker endpoint uses it to reject dispatches from a
+// A fleet worker's claim loop uses it to reject grants from a
 // coordinator running a different code version before any work starts.
 func (s *Server) CacheKeyFor(specJSON []byte) (string, error) {
+	_, key, err := s.compileJSON(specJSON)
+	return key, err
+}
+
+// compileJSON decodes, compiles and keys a spec body.
+func (s *Server) compileJSON(specJSON []byte) (*compiledSpec, string, error) {
 	spec, err := decodeSpec(bytes.NewReader(specJSON))
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	c, err := compile(spec)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
-	return c.cacheKey(s.cfg.Version)
+	key, err := c.cacheKey(s.cfg.Version)
+	return c, key, err
 }
 
 // submission is the admission identity of one register call: which
@@ -366,17 +350,6 @@ func (s *Server) register(c *compiledSpec, key string, sub submission) (*Job, Su
 		s.journalAppend(store.Record{Job: j.ID, Key: key, State: string(StateDone), Cached: true, Spec: specJSON(c.spec), Tenant: sub.tenant, Priority: PriorityName(sub.priority), Campaign: sub.campaign, Cell: sub.cell}, false)
 		s.mu.Unlock()
 		return j, SubmitOutcome{Cached: true}, nil
-	}
-
-	// Replication-lag backpressure: a coordinator whose peers are all
-	// stale refuses brand-new work. Dedup and cache answers above stay
-	// free — they add no state that could be lost with this node.
-	if sh, ok := s.cfg.Cluster.(Shedder); ok {
-		if retry, shed := sh.ShedNewJobs(); shed {
-			s.mu.Unlock()
-			s.metrics.replicationShed()
-			return nil, SubmitOutcome{}, &backpressureError{retryAfter: retry}
-		}
 	}
 
 	j := s.newJobLocked(key, c.spec, StateQueued, sub)
@@ -461,41 +434,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleEvents streams progress lines as server-sent events: full replay
-// for late subscribers, then live lines, then a terminal "state" event.
+// handleEvents streams the job's progress lines as server-sent events,
+// ending with its terminal state.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	replay, live := j.broker.subscribe()
-	defer j.broker.unsubscribe(live)
-	for _, line := range replay {
-		fmt.Fprintf(w, "event: progress\ndata: %s\n\n", line)
-	}
-	flusher.Flush()
-	for {
-		select {
-		case line, ok := <-live:
-			if !ok {
-				fmt.Fprintf(w, "event: state\ndata: %s\n\n", j.stateNow())
-				flusher.Flush()
-				return
-			}
-			fmt.Fprintf(w, "event: progress\ndata: %s\n\n", line)
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
+	if j := s.lookup(w, r); j != nil {
+		j.broker.serveEvents(w, r, func() string { return string(j.stateNow()) })
 	}
 }
 
@@ -525,7 +468,7 @@ func (s *Server) cancelJob(j *Job, reason string) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, s.sched.depth(), s.cache.Stats(), s.durabilityStats(), s.clusterStats(), s.cfg.ChaosInjected, s.sched.stats(), s.campaignStats())
+	s.metrics.write(w, s.sched.depth(), s.cache.Stats(), s.durabilityStats(), s.clusterStats(), s.sched.stats(), s.campaignStats())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -83,7 +83,14 @@ func getBody(t *testing.T, url string) (string, int) {
 
 func TestSubmitRunJobLifecycle(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
+	// Hold the only worker until the submit response is read, so the
+	// job is still queued when the response is rendered.
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	s.testBeforeRun = func(*Job) { <-gate }
 	sr, code := submit(t, ts, runSpecBody)
+	release()
 	if code != http.StatusCreated {
 		t.Fatalf("POST = %d, want 201", code)
 	}

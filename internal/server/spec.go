@@ -537,20 +537,29 @@ func emptyNotNil(xs []int) []int {
 	return xs
 }
 
-// decodeSpec parses a request body strictly: unknown fields and trailing
-// data are rejected so typos fail loudly instead of running a default.
+// decodeSpec parses a job spec strictly (see decodeStrict).
 func decodeSpec(r io.Reader) (JobSpec, error) {
+	var s JobSpec
+	if err := decodeStrict(r, &s, "job spec"); err != nil {
+		return JobSpec{}, err
+	}
+	return s, nil
+}
+
+// decodeStrict parses one JSON request body into v: unknown fields and
+// trailing data are rejected so typos fail loudly instead of running a
+// default. what names the body in the trailing-data error.
+func decodeStrict(r io.Reader, v any, what string) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	var s JobSpec
-	if err := dec.Decode(&s); err != nil {
-		return JobSpec{}, err
+	if err := dec.Decode(v); err != nil {
+		return err
 	}
 	var trailing any
 	if err := dec.Decode(&trailing); err != io.EOF {
-		return JobSpec{}, fmt.Errorf("trailing data after job spec")
+		return fmt.Errorf("trailing data after %s", what)
 	}
-	return s, nil
+	return nil
 }
 
 // modeName renders a mode the way ParseMode accepts it.
