@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short vet race verify bench bench-check smoke smoke-fleet smoke-ha smoke-overload fuzz sim-cluster sim-cluster-deep
+.PHONY: build test test-short vet fmt-check race verify bench bench-check smoke smoke-fleet smoke-ha smoke-overload fuzz sim-cluster sim-cluster-deep
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,10 @@ test-short:
 
 vet:
 	$(GO) vet ./...
+
+# Fails, listing the files, when any Go file is not gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # The experiment runner, pool, validate checkup, slipd server, journal
 # store, fleet coordinator, the sim engine's pooled context workers, and

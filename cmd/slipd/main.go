@@ -20,12 +20,13 @@
 // peered with -join-coordinator replicate the claim table to each other
 // leader-lessly, so any one of them can be SIGKILLed without stranding
 // work — a survivor's lease sweep reclaims in-flight jobs and serves
-// the byte-identical result. Each peer link runs behind a circuit
-// breaker that opens after 5 consecutive failed pushes and probes again
-// after 10 sync intervals. A coordinator sees a worker while it has
-// polled, renewed or reported within one claim lease, or holds an
-// unexpired lease in that coordinator's table; with no worker in sight
-// it executes jobs locally and sets "degraded":true on /readyz.
+// the byte-identical result. Each peer has its own replication loop, so
+// a peer that hangs or refuses delays only the pushes to itself. A
+// coordinator sees a worker while it has polled, renewed or reported
+// within one claim lease, or holds an unexpired lease in that
+// coordinator's table; with no worker in sight, or with a peer
+// unreachable, it sets "degraded":true on /readyz, and with no worker
+// it executes jobs locally.
 //
 // SIGINT/SIGTERM drains gracefully: in-flight and queued jobs finish
 // (up to -drain), held claims report before the claim loop stops, the
@@ -257,7 +258,6 @@ func run(addr string, cfg server.Config, fleet fleetConfig, drain time.Duration)
 			ClaimWait:     fleet.poll,
 			MaxAttempts:   cfg.MaxAttempts,
 			Peers:         fleet.peers,
-			SelfID:        selfURL(addr),
 			Logf:          logf,
 		}
 		if cfg.DataDir != "" {

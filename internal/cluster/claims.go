@@ -334,13 +334,10 @@ func (t *ClaimTable) Claim(worker string) (ClaimGrant, bool) {
 	e.expires = now.Add(t.lease)
 	t.ctr.Granted++
 	grant := ClaimGrant{
-		Key:      e.key,
-		Label:    e.label,
-		Tenant:   e.tenant,
-		Priority: e.priority,
-		Spec:     e.spec,
-		Attempt:  e.attempt,
-		LeaseMs:  t.lease.Milliseconds(),
+		Key:     e.key,
+		Spec:    e.spec,
+		Attempt: e.attempt,
+		LeaseMs: t.lease.Milliseconds(),
 	}
 	recs = append(recs, e.record())
 	t.mu.Unlock()

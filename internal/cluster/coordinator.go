@@ -32,24 +32,13 @@ type Config struct {
 	MaxAttempts int
 	// Peers are the other coordinators' base URLs. The claim table is
 	// replicated to each of them every sync interval (and on every
-	// mutation), leader-lessly.
+	// mutation), leader-lessly, from one loop per peer.
 	Peers []string
-	// BreakerFailures is how many consecutive replication failures open a
-	// peer's circuit breaker (default 5). While open, pushes to that peer
-	// are skipped until BreakerCooldown elapses; the first push after the
-	// cooldown is a half-open probe whose outcome closes or re-opens it.
-	BreakerFailures int
-	// BreakerCooldown is how long an open breaker waits before probing
-	// (default 10× the sync interval).
-	BreakerCooldown time.Duration
 	// DisableMergeTerminalWins turns off the incoming-terminal-settles
 	// precedence rule in the claim-table merge. It exists solely so the
 	// simulation harness can prove its invariant checker catches a broken
 	// merge; never set it in production.
 	DisableMergeTerminalWins bool
-	// SelfID labels this coordinator in replication batches and logs
-	// (default "coordinator").
-	SelfID string
 	// Journal, when set, persists every claim-table transition so a
 	// restarted coordinator resumes its leases; Replay seeds the table
 	// from a previous run's journal. The coordinator owns the journal
@@ -78,15 +67,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10 * c.SyncInterval
-	}
-	if c.SelfID == "" {
-		c.SelfID = "coordinator"
-	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = http.DefaultClient
 	}
@@ -108,7 +88,8 @@ type Coordinator struct {
 	table *ClaimTable
 	peers []*peerLink
 
-	quit chan struct{}
+	ctx  context.Context // cancelled by Close: stops the loops and aborts pushes
+	stop context.CancelFunc
 	wg   sync.WaitGroup
 }
 
@@ -120,8 +101,8 @@ func NewCoordinator(cfg Config) *Coordinator {
 	co := &Coordinator{
 		cfg:   cfg,
 		table: newClaimTable(cfg.Now, cfg.LeaseDuration, cfg.MaxAttempts),
-		quit:  make(chan struct{}),
 	}
+	co.ctx, co.stop = context.WithCancel(context.Background())
 	if cfg.Journal != nil {
 		co.table.journal = func(rec store.Record, sync bool) {
 			if err := cfg.Journal.Append(rec, sync); err != nil {
@@ -135,18 +116,18 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}
 	co.table.disableTerminalWins = cfg.DisableMergeTerminalWins
 	for _, u := range cfg.Peers {
-		co.peers = append(co.peers, &peerLink{url: u, failures: cfg.BreakerFailures, cooldown: cfg.BreakerCooldown})
+		p := &peerLink{url: u, kick: make(chan struct{}, 1)}
+		co.peers = append(co.peers, p)
+		co.wg.Add(1)
+		go co.replicateLoop(p)
 	}
-	if len(co.peers) > 0 {
-		kick := make(chan struct{}, 1)
-		co.table.onChange = func() {
+	co.table.onChange = func() {
+		for _, p := range co.peers {
 			select {
-			case kick <- struct{}{}:
+			case p.kick <- struct{}{}:
 			default:
 			}
 		}
-		co.wg.Add(1)
-		go co.replicateLoop(kick)
 	}
 	co.wg.Add(1)
 	go co.sweepLoop()
@@ -169,7 +150,7 @@ func (co *Coordinator) AttachResults(sink ResultSink) {
 
 // Close stops the background loops and closes the claims journal.
 func (co *Coordinator) Close() {
-	close(co.quit)
+	co.stop()
 	co.wg.Wait()
 	if co.cfg.Journal != nil {
 		if err := co.cfg.Journal.Close(); err != nil {
@@ -184,7 +165,7 @@ func (co *Coordinator) sweepLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-co.quit:
+		case <-co.ctx.Done():
 			return
 		case <-t.C:
 			if n := co.table.SweepLeases(); n > 0 {

@@ -513,17 +513,16 @@ func TestTwoCoordinatorFailover(t *testing.T) {
 	tsB := httptest.NewServer(hB)
 	defer tsB.Close()
 
-	mkCfg := func(self, peer string) Config {
+	mkCfg := func(peer string) Config {
 		return Config{
 			SyncInterval:  25 * time.Millisecond,
 			LeaseDuration: 250 * time.Millisecond,
 			ClaimWait:     100 * time.Millisecond,
-			SelfID:        self,
 			Peers:         []string{peer},
 		}
 	}
-	coA := NewCoordinator(mkCfg("co-a", tsB.URL))
-	coB := NewCoordinator(mkCfg("co-b", tsA.URL))
+	coA := NewCoordinator(mkCfg(tsB.URL))
+	coB := NewCoordinator(mkCfg(tsA.URL))
 	defer coB.Close()
 	hA.set(coA.Handler())
 	hB.set(coB.Handler())

@@ -18,11 +18,11 @@ import (
 func FuzzClaimWire(f *testing.F) {
 	key := strings.Repeat("ab", 32)
 	f.Add([]byte(`{"worker":"w1","wait_ms":1500}`))
-	f.Add([]byte(`{"key":"` + key + `","label":"run/CG","spec":{"kind":"run"},"claim_attempt":1,"lease_ms":10000}`))
+	f.Add([]byte(`{"key":"` + key + `","spec":{"kind":"run"},"claim_attempt":1,"lease_ms":10000}`))
 	f.Add([]byte(`{"worker":"w1","key":"` + key + `","claim_attempt":2}`))
 	f.Add([]byte(`{"worker":"w1","key":"` + key + `","claim_attempt":1,"state":"done","result":"QllURVM="}`))
 	f.Add([]byte(`{"worker":"w1","key":"` + key + `","claim_attempt":1,"state":"failed","error":"diverged"}`))
-	f.Add([]byte(`{"from":"co-a","records":[{"key":"` + key + `","label":"l","state":"claimed","claimed_by":"w1","claim_expires_at":1700000000000,"claim_attempt":1}]}`))
+	f.Add([]byte(`{"records":[{"key":"` + key + `","label":"l","state":"claimed","claimed_by":"w1","claim_expires_at":1700000000000,"claim_attempt":1}]}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
@@ -75,7 +75,7 @@ func FuzzClaimWire(f *testing.F) {
 			}
 			b, _ := json.Marshal(m)
 			m2, err := DecodeReplicateBatch(bytes.NewReader(b))
-			if err != nil || m2.From != m.From || len(m2.Records) != len(m.Records) {
+			if err != nil || len(m2.Records) != len(m.Records) {
 				t.Fatalf("batch round-trip: %+v → %+v (%v)", m, m2, err)
 			}
 		}

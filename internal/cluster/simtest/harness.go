@@ -223,13 +223,10 @@ func (n *coordNode) start() error {
 		ClaimWait:                simClaimWait,
 		MaxAttempts:              simMaxAttempts,
 		Peers:                    peers,
-		SelfID:                   name,
 		Journal:                  jn,
 		Replay:                   recs,
 		HTTPClient:               n.h.net.Client(name),
 		Now:                      n.h.net.Chaos().Clock(name),
-		BreakerFailures:          4,
-		BreakerCooldown:          6 * simSync,
 		DisableMergeTerminalWins: n.h.opts.MutateMerge && n.idx > 0,
 		Logf: func(format string, args ...any) {
 			n.h.opts.Logf("["+name+"] "+format, args...)

@@ -25,7 +25,6 @@ import (
 // instead of poisoning the claim table.
 const (
 	maxIDLen      = 128
-	maxAddrLen    = 512
 	maxLabelLen   = 128
 	maxWireLen    = 2 << 20  // body cap for control-plane cluster messages
 	maxResultLen  = 16 << 20 // body cap for messages carrying result bytes
@@ -71,20 +70,17 @@ func (c ClaimRequest) Validate() error {
 }
 
 // ClaimGrant is the coordinator's answer to a successful claim: the job
-// spec in the server's normalized JSON encoding, the metrics label, the
-// cache key the coordinator computed, the monotonic claim attempt, and
-// the lease the worker must renew before it expires. The worker
-// recomputes the key from the spec and refuses on mismatch, so a
-// version-skewed fleet fails loudly instead of caching bytes under the
-// wrong identity.
+// spec in the server's normalized JSON encoding, the cache key the
+// coordinator computed, the monotonic claim attempt, and the lease the
+// worker must renew before it expires. The worker recomputes the key
+// from the spec and refuses on mismatch, so a version-skewed fleet fails
+// loudly instead of caching bytes under the wrong identity; the spec
+// also carries the job's priority class.
 type ClaimGrant struct {
-	Key      string          `json:"key"`
-	Label    string          `json:"label"`
-	Tenant   string          `json:"tenant,omitempty"`
-	Priority int             `json:"priority,omitempty"`
-	Spec     json.RawMessage `json:"spec"`
-	Attempt  int             `json:"claim_attempt"`
-	LeaseMs  int64           `json:"lease_ms"`
+	Key     string          `json:"key"`
+	Spec    json.RawMessage `json:"spec"`
+	Attempt int             `json:"claim_attempt"`
+	LeaseMs int64           `json:"lease_ms"`
 }
 
 // Validate applies the wire bounds (the spec's content is validated by
@@ -93,17 +89,8 @@ func (g ClaimGrant) Validate() error {
 	if !validKey(g.Key) {
 		return fmt.Errorf("grant: malformed cache key %q", g.Key)
 	}
-	if g.Label == "" || len(g.Label) > maxLabelLen {
-		return fmt.Errorf("grant: label length %d outside [1, %d]", len(g.Label), maxLabelLen)
-	}
 	if len(g.Spec) == 0 {
 		return fmt.Errorf("grant: missing spec")
-	}
-	if len(g.Tenant) > maxIDLen {
-		return fmt.Errorf("grant: tenant length %d exceeds %d", len(g.Tenant), maxIDLen)
-	}
-	if g.Priority < 0 || g.Priority > maxPriority {
-		return fmt.Errorf("grant: priority %d outside [0, %d]", g.Priority, maxPriority)
 	}
 	if g.Attempt < 1 || g.Attempt > maxAttemptNum {
 		return fmt.Errorf("grant: claim_attempt %d outside [1, %d]", g.Attempt, maxAttemptNum)
@@ -234,18 +221,14 @@ func (c ClaimRecord) Validate() error {
 	return nil
 }
 
-// ReplicateBatch carries claim records between coordinators:
-// POST /cluster/claims/replicate.
+// ReplicateBatch carries a full claim-table snapshot between
+// coordinators: POST /cluster/claims/replicate.
 type ReplicateBatch struct {
-	From    string        `json:"from"`
 	Records []ClaimRecord `json:"records"`
 }
 
 // Validate applies the wire bounds.
 func (b ReplicateBatch) Validate() error {
-	if b.From == "" || len(b.From) > maxAddrLen {
-		return fmt.Errorf("replicate: from length %d outside [1, %d]", len(b.From), maxAddrLen)
-	}
 	if len(b.Records) > maxBatchRecs {
 		return fmt.Errorf("replicate: %d records exceeds %d", len(b.Records), maxBatchRecs)
 	}

@@ -31,7 +31,7 @@ func TestDecodeClaimRequest(t *testing.T) {
 }
 
 func TestDecodeClaimGrant(t *testing.T) {
-	g, err := DecodeClaimGrant(strings.NewReader(`{"key":"` + testKey + `","label":"run/CG","spec":{"kind":"run"},"claim_attempt":2,"lease_ms":10000}`))
+	g, err := DecodeClaimGrant(strings.NewReader(`{"key":"` + testKey + `","spec":{"kind":"run"},"claim_attempt":2,"lease_ms":10000}`))
 	if err != nil {
 		t.Fatalf("valid grant rejected: %v", err)
 	}
@@ -39,12 +39,12 @@ func TestDecodeClaimGrant(t *testing.T) {
 		t.Fatalf("decoded %+v", g)
 	}
 	bad := []string{
-		`{"key":"short","label":"x","spec":{},"claim_attempt":1,"lease_ms":1}`,                            // malformed key
-		`{"key":"` + strings.ToUpper(testKey) + `","label":"x","spec":{},"claim_attempt":1,"lease_ms":1}`, // uppercase hex
-		`{"key":"` + testKey + `","label":"","spec":{},"claim_attempt":1,"lease_ms":1}`,                   // empty label
-		`{"key":"` + testKey + `","label":"x","claim_attempt":1,"lease_ms":1}`,                            // no spec
-		`{"key":"` + testKey + `","label":"x","spec":{},"claim_attempt":0,"lease_ms":1}`,                  // attempt < 1
-		`{"key":"` + testKey + `","label":"x","spec":{},"claim_attempt":1,"lease_ms":0}`,                  // no lease
+		`{"key":"short","spec":{},"claim_attempt":1,"lease_ms":1}`,                            // malformed key
+		`{"key":"` + strings.ToUpper(testKey) + `","spec":{},"claim_attempt":1,"lease_ms":1}`, // uppercase hex
+		`{"key":"` + testKey + `","claim_attempt":1,"lease_ms":1}`,                            // no spec
+		`{"key":"` + testKey + `","spec":{},"claim_attempt":0,"lease_ms":1}`,                  // attempt < 1
+		`{"key":"` + testKey + `","spec":{},"claim_attempt":1,"lease_ms":0}`,                  // no lease
+		`{"key":"` + testKey + `","label":"x","spec":{},"claim_attempt":1,"lease_ms":1}`,      // retired label field
 	}
 	for _, b := range bad {
 		if _, err := DecodeClaimGrant(strings.NewReader(b)); err == nil {
@@ -98,19 +98,19 @@ func TestDecodeClaimReport(t *testing.T) {
 }
 
 func TestDecodeReplicateBatch(t *testing.T) {
-	body := `{"from":"co-a","records":[{"key":"` + testKey + `","label":"run/CG","state":"claimed","claimed_by":"w1","claim_expires_at":1700000000000,"claim_attempt":1}]}`
+	body := `{"records":[{"key":"` + testKey + `","label":"run/CG","state":"claimed","claimed_by":"w1","claim_expires_at":1700000000000,"claim_attempt":1}]}`
 	m, err := DecodeReplicateBatch(strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("valid batch rejected: %v", err)
 	}
-	if m.From != "co-a" || len(m.Records) != 1 || m.Records[0].State != ClaimClaimed {
+	if len(m.Records) != 1 || m.Records[0].State != ClaimClaimed {
 		t.Fatalf("decoded %+v", m)
 	}
 	bad := []string{
-		`{"from":"","records":[]}`, // empty from
-		`{"from":"co-a","records":[{"key":"nope","label":"x","state":"pending","claim_attempt":0}]}`,           // bad key
-		`{"from":"co-a","records":[{"key":"` + testKey + `","label":"x","state":"limbo","claim_attempt":0}]}`,  // bad state
-		`{"from":"co-a","records":[{"key":"` + testKey + `","label":"","state":"pending","claim_attempt":0}]}`, // empty label
+		`{"records":[{"key":"nope","label":"x","state":"pending","claim_attempt":0}]}`,           // bad key
+		`{"records":[{"key":"` + testKey + `","label":"x","state":"limbo","claim_attempt":0}]}`,  // bad state
+		`{"records":[{"key":"` + testKey + `","label":"","state":"pending","claim_attempt":0}]}`, // empty label
+		`{"from":"co-a","records":[]}`, // retired from field
 	}
 	for _, b := range bad {
 		if _, err := DecodeReplicateBatch(strings.NewReader(b)); err == nil {

@@ -230,12 +230,6 @@ func (c *Controller) reg(p *machine.Proc) *machine.PairRegs {
 	return &p.Node.Regs
 }
 
-// BeginRegion is called by the R-stream when it starts a slipstream region:
-// it publishes the region's token allowance to the pair register.
-func (c *Controller) BeginRegion(p *machine.Proc, cfg Config) {
-	c.reg(p).Allowance = int64(cfg.Tokens)
-}
-
 // RPickupRegion records that the R-stream has entered parallel region seq
 // and publishes the region's token allowance. The paired A-stream gates on
 // this before using tokens, so a stale allowance from the previous region
@@ -274,17 +268,10 @@ func (c *Controller) AStartRegion(p *machine.Proc) {
 	r.AIdle = 0
 }
 
-// SameSession reports whether the pair's A-stream has passed exactly as
-// many barriers as its R-stream — the condition under which skipped shared
-// stores may be converted to exclusive prefetches (§5.1).
-func (c *Controller) SameSession(p *machine.Proc) bool {
-	r := c.reg(p)
-	return r.ABarriers == r.RBarriers
-}
-
 // AStoreAction decides what to do with an A-stream shared store: convert it
 // to a non-blocking read-exclusive prefetch when the streams share a
-// session and the node bus is idle, otherwise skip it.
+// session (the A-stream has passed exactly as many barriers as its
+// R-stream, §5.1) and the node bus is idle, otherwise skip it.
 func (c *Controller) AStoreAction(p *machine.Proc) StoreAction {
 	r := c.reg(p)
 	if r.ABarriers == r.RBarriers && p.Node.BusIdle() {
@@ -333,23 +320,12 @@ func (c *Controller) insertToken(r *machine.PairRegs, gid int) {
 	r.RBarriers++
 }
 
-// RBarrierExit is the R-stream hook at barrier exit. With global
-// synchronization the token is inserted here, so the A-stream may proceed
-// only once its R-stream has left the barrier. The omp runtime instead
-// uses InsertTokenAt at the barrier's global completion instant (the paper
-// inserts the global token "before exiting the barrier", §2.2), which
-// spares the A-stream the R-stream's wake-up miss latency; this method
-// remains for runtimes without a completion hook.
-func (c *Controller) RBarrierExit(p *machine.Proc, cfg Config) {
-	if cfg.Type == GlobalSync {
-		c.insertToken(c.reg(p), p.GID)
-	}
-}
-
 // InsertTokenAt inserts one token into p's pair register without charging
 // anyone: it models the barrier-completion propagation writing the
-// hardware semaphore, used for global synchronization so the token appears
-// when the barrier completes rather than when the R-stream wakes.
+// hardware semaphore. The omp runtime calls it for global synchronization
+// at the barrier's completion instant (the paper inserts the global token
+// "before exiting the barrier", §2.2), so the A-stream may proceed once
+// the barrier completes rather than when its R-stream wakes.
 func (c *Controller) InsertTokenAt(p *machine.Proc) {
 	c.insertToken(&p.Node.Regs, p.GID)
 }

@@ -115,6 +115,16 @@ func TestDisabledController(t *testing.T) {
 	}
 }
 
+// rBarrier is the R-stream side of omp.Thread.Barrier in a one-thread
+// team: the barrier completes as soon as R enters it, which is where the
+// runtime inserts a global-sync token.
+func rBarrier(c *Controller, p *machine.Proc, cfg Config) {
+	c.RBarrierEnter(p, cfg)
+	if cfg.Type == GlobalSync {
+		c.InsertTokenAt(p)
+	}
+}
+
 // runPair executes rBody and aBody on node 0's two processors.
 func runPair(t *testing.T, m *machine.Machine, rBody, aBody func(*machine.Proc)) {
 	t.Helper()
@@ -134,12 +144,10 @@ func TestG0TokenProtocol(t *testing.T) {
 	var rExit, aPass [3]uint64
 	runPair(t, m,
 		func(p *machine.Proc) {
-			c.BeginRegion(p, cfg)
+			c.RPickupRegion(p, 1, cfg)
 			for i := 0; i < 3; i++ {
 				p.Compute(1000)
-				c.RBarrierEnter(p, cfg)
-				// (team barrier would run here)
-				c.RBarrierExit(p, cfg)
+				rBarrier(c, p, cfg)
 				rExit[i] = p.Ctx.Now()
 			}
 		},
@@ -168,12 +176,11 @@ func TestL1TokenProtocol(t *testing.T) {
 	var aPass [3]uint64
 	runPair(t, m,
 		func(p *machine.Proc) {
-			c.BeginRegion(p, cfg)
+			c.RPickupRegion(p, 1, cfg)
 			for i := 0; i < 3; i++ {
 				p.Compute(1000)
 				rEnter[i] = p.Ctx.Now()
-				c.RBarrierEnter(p, cfg)
-				c.RBarrierExit(p, cfg)
+				rBarrier(c, p, cfg)
 			}
 		},
 		func(p *machine.Proc) {
@@ -201,10 +208,9 @@ func TestTokenWaitChargedAsBarrier(t *testing.T) {
 	var aProc *machine.Proc
 	runPair(t, m,
 		func(p *machine.Proc) {
-			c.BeginRegion(p, cfg)
+			c.RPickupRegion(p, 1, cfg)
 			p.Compute(5000)
-			c.RBarrierEnter(p, cfg)
-			c.RBarrierExit(p, cfg)
+			rBarrier(c, p, cfg)
 		},
 		func(p *machine.Proc) {
 			aProc = p
@@ -226,11 +232,10 @@ func TestDivergenceDetectionAndRecovery(t *testing.T) {
 	var recovered bool
 	runPair(t, m,
 		func(p *machine.Proc) {
-			c.BeginRegion(p, cfg)
+			c.RPickupRegion(p, 1, cfg)
 			for i := 0; i < 4; i++ {
 				p.Compute(100)
-				c.RBarrierEnter(p, cfg)
-				c.RBarrierExit(p, cfg)
+				rBarrier(c, p, cfg)
 			}
 			stuck = false
 		},
@@ -259,11 +264,10 @@ func TestNoFalseDivergenceWhenAKeepsUp(t *testing.T) {
 	cfg := G0
 	runPair(t, m,
 		func(p *machine.Proc) {
-			c.BeginRegion(p, cfg)
+			c.RPickupRegion(p, 1, cfg)
 			for i := 0; i < 10; i++ {
 				p.Compute(500)
-				c.RBarrierEnter(p, cfg)
-				c.RBarrierExit(p, cfg)
+				rBarrier(c, p, cfg)
 			}
 		},
 		func(p *machine.Proc) {
@@ -364,19 +368,27 @@ func TestAStoreAction(t *testing.T) {
 }
 
 func TestSameSession(t *testing.T) {
+	// Stores convert to prefetches only while the pair registers hold
+	// equal barrier counts (the bus of an otherwise idle node is free).
 	m := newM()
 	c, _ := NewController(m, true, "")
+	c.WirePairs(false)
 	runPair(t, m,
+		func(p *machine.Proc) { p.Compute(1) },
 		func(p *machine.Proc) {
-			if !c.SameSession(p) {
-				t.Error("fresh pair not in same session")
+			r := &p.Node.Regs
+			if a := c.AStoreAction(p); r.ABarriers != r.RBarriers || a != StorePrefetch {
+				t.Errorf("fresh pair: A=%d R=%d, action %v, want same session and prefetch", r.ABarriers, r.RBarriers, a)
 			}
-			p.Node.Regs.RBarriers = 2
-			if c.SameSession(p) {
-				t.Error("same session despite lag")
+			r.RBarriers = 2
+			if a := c.AStoreAction(p); a != StoreSkip {
+				t.Errorf("A behind R: action %v, want skip", a)
 			}
-		},
-		func(p *machine.Proc) { p.Compute(1) })
+			r.ABarriers = 2
+			if a := c.AStoreAction(p); a != StorePrefetch {
+				t.Errorf("A caught up: action %v, want prefetch", a)
+			}
+		})
 }
 
 func TestWirePairs(t *testing.T) {

@@ -35,8 +35,8 @@ type TasksRow struct {
 // TasksSuite holds a tasking-study sweep's results.
 type TasksSuite struct {
 	Scale   npb.Scale
-	Teams   []int // ascending, deduped
-	Cutoffs []int // ascending, deduped
+	Teams   []int              // ascending, deduped
+	Cutoffs []int              // ascending, deduped
 	Rows    map[int][]TasksRow // team → baseline row then cut-off rows
 	Errors  []CellError
 }

@@ -1,7 +1,6 @@
 package omp
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -277,53 +276,6 @@ func TestParallelTunedSettlesAndStaysCorrect(t *testing.T) {
 		if arr.Get(i) != 8 {
 			t.Fatalf("arr[%d] = %v, want 8 (tuning must not change results)", i, arr.Get(i))
 		}
-	}
-}
-
-func TestRegionProfiler(t *testing.T) {
-	c := cfg(core.ModeSingle, 2)
-	rt, _ := New(c)
-	rt.EnableProfile()
-	if err := rt.Run(func(m *Thread) {
-		for it := 0; it < 3; it++ {
-			m.ParallelP("sweep", nil, func(t2 *Thread) {
-				t2.For(0, 100, func(i int) { t2.Compute(10) })
-			})
-		}
-		m.Parallel(func(t2 *Thread) { t2.Compute(5) }) // unlabeled
-	}); err != nil {
-		t.Fatal(err)
-	}
-	profs := rt.Profiles()
-	if len(profs) != 2 {
-		t.Fatalf("profiles = %+v, want sweep + one unlabeled", profs)
-	}
-	var sweep *RegionProfile
-	for i := range profs {
-		if profs[i].Label == "sweep" {
-			sweep = &profs[i]
-		}
-	}
-	if sweep == nil || sweep.Count != 3 || sweep.Cycles == 0 {
-		t.Fatalf("sweep profile = %+v", sweep)
-	}
-	var sb strings.Builder
-	rt.WriteProfile(&sb)
-	if !strings.Contains(sb.String(), "sweep") || !strings.Contains(sb.String(), "region-4") {
-		t.Fatalf("profile report:\n%s", sb.String())
-	}
-}
-
-func TestProfilerOffByDefault(t *testing.T) {
-	c := cfg(core.ModeSingle, 2)
-	rt, _ := New(c)
-	if err := rt.Run(func(m *Thread) {
-		m.ParallelP("x", nil, func(t2 *Thread) { t2.Compute(1) })
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(rt.Profiles()) != 0 {
-		t.Fatal("profiler recorded while disabled")
 	}
 }
 

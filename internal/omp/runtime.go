@@ -117,8 +117,6 @@ type Runtime struct {
 	// at the current barrier's completion instant (§2.2: the token goes in
 	// "before exiting the barrier").
 	g0Pending []*machine.Proc
-
-	prof profiler
 }
 
 // loopState is the shared scheduler state of one dynamic/guided/affinity
@@ -296,15 +294,11 @@ func (t *Thread) ParallelD(dir *core.Directive, body func(*Thread)) {
 	}
 	rt.jobs = append(rt.jobs, &job{fn: body, cfg: cfg})
 	seq := int64(len(rt.jobs) - 1)
-	start := t.P.Ctx.Now()
 	// Publish the job: one store; the pool's spin loads take the line.
 	t.P.Store(rt.jobSeq.Addr(0))
 	rt.jobSeq.Set(0, seq)
 	t.lastSeq = seq
 	t.runRegion(rt.jobs[seq], seq)
-	if rt.prof.enabled && !rt.prof.labeling {
-		rt.prof.record(fmt.Sprintf("region-%d", seq), t.P.Ctx.Now()-start)
-	}
 }
 
 // runRegion executes one parallel region on this thread, including the

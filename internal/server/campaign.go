@@ -327,9 +327,9 @@ func campaignJSON(cs CampaignSpec) json.RawMessage {
 }
 
 func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
-	cs, err := decodeCampaignSpec(r.Body)
+	cs, err := decodeCampaignSpec(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		bodyError(w, err)
 		return
 	}
 	cc, err := compileCampaign(cs)
@@ -388,7 +388,7 @@ func (s *Server) launchReady(camp *campaign) {
 		c, err := compile(spec)
 		var key string
 		if err == nil {
-			key, err = c.cacheKey(s.cfg.Version)
+			key, err = c.cacheKey()
 		}
 		if err != nil {
 			// Unreachable for specs that compiled at admission; settle
@@ -901,7 +901,7 @@ func (s *Server) rebuildCampaign(r store.Record, cellRecs []store.Record) {
 		if err != nil {
 			continue // launchReady settles it as unlaunchable
 		}
-		key, err := c.cacheKey(s.cfg.Version)
+		key, err := c.cacheKey()
 		if err != nil {
 			continue
 		}

@@ -30,9 +30,6 @@ type PeerStatus struct {
 	// LagMs is the age of the last successful replication to this peer
 	// in milliseconds, or -1 before the first success.
 	LagMs int64 `json:"replication_lag_ms"`
-	// Breaker is the replication circuit breaker's state for this peer:
-	// "closed", "half-open", or "open".
-	Breaker string `json:"breaker,omitempty"`
 }
 
 // ClusterStats is a point-in-time snapshot of the fleet, surfaced in

@@ -182,7 +182,7 @@ func (s *Server) requeue(r store.Record) {
 	// Re-derive the key under the current code version: if the version
 	// was bumped between restarts, the re-run must cache under the new
 	// truth, not the old record's.
-	key, err := c.cacheKey(s.cfg.Version)
+	key, err := c.cacheKey()
 	if err != nil {
 		fail(fmt.Sprintf("unreplayable spec: %v", err))
 		return

@@ -48,7 +48,7 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil {
 			return // rejected cleanly
 		}
-		if _, err := c.cacheKey("fuzz"); err != nil {
+		if _, err := c.cacheKey(); err != nil {
 			t.Fatalf("compiled spec failed to hash: %v (body %q)", err, body)
 		}
 	})

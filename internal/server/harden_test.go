@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -50,6 +51,41 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	}
 	if !strings.Contains(metrics, "slipd_panics_total 1\n") {
 		t.Fatalf("metrics missing slipd_panics_total 1:\n%s", metrics)
+	}
+}
+
+// TestOversizedBodyRefused: POST /jobs and POST /campaigns read at most
+// maxRequestBody bytes. A valid spec padded past the bound with
+// whitespace is refused 413: the cap trips while the strict decoder
+// reads the trailing whitespace, after the spec itself has decoded.
+// Normal-size submissions on both endpoints still succeed.
+func TestOversizedBodyRefused(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	campaign := fmt.Sprintf(`{"cells":[%s]}`, campCellBody("a", 2))
+	pad := strings.Repeat(" ", maxRequestBody)
+	for _, tc := range []struct{ path, body string }{
+		{"/jobs", runSpecBody},
+		{"/campaigns", campaign},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body+pad))
+		if err != nil {
+			t.Fatalf("POST %s: %v", tc.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s padded past %d bytes = %d, want 413", tc.path, maxRequestBody, resp.StatusCode)
+		}
+	}
+
+	sr, code := submit(t, ts, `{"kind":"run","kernel":"MG","nodes":4}`)
+	if code != http.StatusCreated {
+		t.Fatalf("normal POST /jobs = %d, want 201", code)
+	}
+	if j := await(t, s, sr.Job.ID); j.stateNow() != StateDone {
+		t.Fatalf("normal job = %s (err %q)", j.stateNow(), j.snapshot().Error)
+	}
+	if resp, _ := postCampaign(t, ts, "", fmt.Sprintf(`{"cells":[%s]}`, campCellBody("b", 3))); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("normal POST /campaigns = %d, want 201", resp.StatusCode)
 	}
 }
 
@@ -191,14 +227,14 @@ func TestTasksJobEndToEnd(t *testing.T) {
 	if len(c.spec.NodeCounts) != 3 || len(c.spec.Cutoffs) != 4 {
 		t.Fatalf("defaults not applied: teams %v cutoffs %v", c.spec.NodeCounts, c.spec.Cutoffs)
 	}
-	if _, err := c.cacheKey("t"); err != nil {
+	if _, err := c.cacheKey(); err != nil {
 		t.Fatal(err)
 	}
 	// The cut-off grid is part of the identity: different grids, different keys.
 	a, _ := compile(JobSpec{Kind: KindTasks, NodeCounts: []int{2}, Cutoffs: []int{2}})
 	b, _ := compile(JobSpec{Kind: KindTasks, NodeCounts: []int{2}, Cutoffs: []int{3}})
-	ka, _ := a.cacheKey("t")
-	kb, _ := b.cacheKey("t")
+	ka, _ := a.cacheKey()
+	kb, _ := b.cacheKey()
 	if ka == kb {
 		t.Fatal("cutoff grids share a cache key")
 	}
@@ -234,8 +270,8 @@ func TestFaultSpecValidation(t *testing.T) {
 	plain, _ := compile(JobSpec{Kind: KindRun, Kernel: "CG", Nodes: 4})
 	zeroed, _ := compile(JobSpec{Kind: KindRun, Kernel: "CG", Nodes: 4,
 		Faults: &FaultSpec{Seed: 9, Rate: 0}})
-	k1, err1 := plain.cacheKey("t")
-	k2, err2 := zeroed.cacheKey("t")
+	k1, err1 := plain.cacheKey()
+	k2, err2 := zeroed.cacheKey()
 	if err1 != nil || err2 != nil || k1 != k2 {
 		t.Fatalf("rate-zero plan changed the cache key: %q vs %q (%v, %v)", k1, k2, err1, err2)
 	}
@@ -245,7 +281,7 @@ func TestFaultSpecValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k3, _ := armed.cacheKey("t")
+	k3, _ := armed.cacheKey()
 	if k3 == k1 {
 		t.Fatal("armed plan shares the unarmed cache key")
 	}

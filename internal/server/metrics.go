@@ -186,19 +186,6 @@ type durabilityStats struct {
 	StoreMisses  uint64
 }
 
-// breakerValue maps a PeerStatus.Breaker name onto the gauge scale
-// (0 closed, 1 half-open, 2 open).
-func breakerValue(name string) int {
-	switch name {
-	case "open":
-		return 2
-	case "half-open":
-		return 1
-	default:
-		return 0
-	}
-}
-
 // write renders the exposition. Series are emitted in sorted order so the
 // output is deterministic and diffable.
 func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durabilityStats, cluster *ClusterStats, tenants []tenantStat, campaigns []campaignStat) {
@@ -286,14 +273,6 @@ func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durab
 		fmt.Fprintln(w, "# HELP slipd_local_fallbacks_total Jobs the coordinator executed in-process because no worker could take them.")
 		fmt.Fprintln(w, "# TYPE slipd_local_fallbacks_total counter")
 		fmt.Fprintf(w, "slipd_local_fallbacks_total %d\n", m.localFalls)
-
-		if len(cluster.Peers) > 0 {
-			fmt.Fprintln(w, "# HELP slipd_breaker_state Replication circuit breaker per peer (0 closed, 1 half-open, 2 open).")
-			fmt.Fprintln(w, "# TYPE slipd_breaker_state gauge")
-			for _, p := range cluster.Peers {
-				fmt.Fprintf(w, "slipd_breaker_state{peer=%q} %d\n", p.URL, breakerValue(p.Breaker))
-			}
-		}
 	}
 
 	fmt.Fprintln(w, "# HELP slipd_jobs Jobs currently in each state.")

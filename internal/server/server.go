@@ -33,9 +33,6 @@ type Config struct {
 	// JobTimeout bounds one job's execution wall clock (0 = no limit). A
 	// job that blows the limit settles as failed; the worker moves on.
 	JobTimeout time.Duration
-	// Version is the code-version component of cache keys (default
-	// CacheKeyVersion). Tests override it to partition cache spaces.
-	Version string
 	// DataDir roots the durability layer (write-ahead job journal plus
 	// disk-backed result store). Empty = memory-only: a restart loses
 	// queued jobs and cached results.
@@ -74,9 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
-	}
-	if c.Version == "" {
-		c.Version = CacheKeyVersion
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
@@ -199,10 +193,24 @@ func apiKeyFrom(r *http.Request) string {
 	return ""
 }
 
+// maxRequestBody bounds POST /jobs and POST /campaigns bodies. It is
+// ample: a 128-cell campaign with explicit params is about 100 KB.
+const maxRequestBody = 1 << 20
+
+// bodyError answers a request body that failed to decode: 413 when it
+// ran past maxRequestBody, 400 otherwise.
+func bodyError(w http.ResponseWriter, err error) {
+	if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
+	httpError(w, http.StatusBadRequest, err)
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := decodeSpec(r.Body)
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		bodyError(w, err)
 		return
 	}
 	c, err := compile(spec)
@@ -210,7 +218,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	key, err := c.cacheKey(s.cfg.Version)
+	key, err := c.cacheKey()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
@@ -293,7 +301,7 @@ func (s *Server) compileJSON(specJSON []byte) (*compiledSpec, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	key, err := c.cacheKey(s.cfg.Version)
+	key, err := c.cacheKey()
 	return c, key, err
 }
 
@@ -483,7 +491,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"cache_key_version": s.cfg.Version})
+	writeJSON(w, http.StatusOK, map[string]string{"cache_key_version": CacheKeyVersion})
 }
 
 // worker runs jobs until the scheduler is empty after Shutdown closes

@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"strings"
 
@@ -121,10 +123,10 @@ type compiledSpec struct {
 	spec     JobSpec // normalized copy (canonical casing, defaults applied)
 	priority int     // resolved scheduling class
 	scale    npb.Scale
-	opts  experiments.Options // canonical options for the suite kinds
-	mode  core.Mode
-	sync  core.Config
-	sched omp.Schedule
+	opts     experiments.Options // canonical options for the suite kinds
+	mode     core.Mode
+	sync     core.Config
+	sched    omp.Schedule
 
 	faults     *faults.Config // armed plan (nil = no faults); Rate 0 for chaos
 	chaosRates []float64      // kind "chaos": normalized sweep (sorted, 0 included)
@@ -493,10 +495,10 @@ func (c *compiledSpec) faultsKeyOf() faultsKey {
 	return k
 }
 
-// cacheKey hashes the canonical form of the spec plus the code version.
+// cacheKey hashes the canonical form of the spec plus CacheKeyVersion.
 // Determinism makes this sound: two specs with equal keys run the same
 // simulation on the same code and therefore produce identical bytes.
-func (c *compiledSpec) cacheKey(version string) (string, error) {
+func (c *compiledSpec) cacheKey() (string, error) {
 	oj, err := c.opts.CanonicalJSON()
 	if err != nil {
 		return "", err
@@ -520,7 +522,7 @@ func (c *compiledSpec) cacheKey(version string) (string, error) {
 		Sync:        c.spec.Sync,
 		TokenCounts: emptyNotNil(tokenCounts),
 		Tokens:      c.spec.Tokens,
-		Version:     version,
+		Version:     CacheKeyVersion,
 	})
 	if err != nil {
 		return "", err
@@ -548,7 +550,9 @@ func decodeSpec(r io.Reader) (JobSpec, error) {
 
 // decodeStrict parses one JSON request body into v: unknown fields and
 // trailing data are rejected so typos fail loudly instead of running a
-// default. what names the body in the trailing-data error.
+// default. what names the body in the trailing-data error. A body cap
+// tripped anywhere, trailing whitespace included, comes back as the
+// reader's *http.MaxBytesError.
 func decodeStrict(r io.Reader, v any, what string) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -557,6 +561,9 @@ func decodeStrict(r io.Reader, v any, what string) error {
 	}
 	var trailing any
 	if err := dec.Decode(&trailing); err != io.EOF {
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			return err
+		}
 		return fmt.Errorf("trailing data after %s", what)
 	}
 	return nil

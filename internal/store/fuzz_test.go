@@ -32,10 +32,10 @@ func validJournalBytes() []byte {
 func FuzzJournalReplay(f *testing.F) {
 	valid := validJournalBytes()
 	f.Add([]byte{})
-	f.Add(valid[:len(valid)-7])                     // truncated tail
-	f.Add([]byte("00000000 2 {}\n"))                // checksum mismatch
-	f.Add([]byte("garbage\nmore garbage"))          // no framing at all
-	f.Add([]byte{0x00, 0xff, 0x0a, 0x41, 0x0a})     // binary noise with newlines
+	f.Add(valid[:len(valid)-7])                 // truncated tail
+	f.Add([]byte("00000000 2 {}\n"))            // checksum mismatch
+	f.Add([]byte("garbage\nmore garbage"))      // no framing at all
+	f.Add([]byte{0x00, 0xff, 0x0a, 0x41, 0x0a}) // binary noise with newlines
 	f.Add(encodeFrame(Record{Job: "job-9", State: "failed", Error: "x"}))
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x20

@@ -50,12 +50,16 @@ func (s *ResultStore) path(key string) (string, error) {
 	return filepath.Join(s.dir, key[:2], key), nil
 }
 
-// Put stores the bytes for key atomically. Idempotent: content
-// addressing means a second Put for the same key writes the same bytes.
+// Put stores the bytes for key atomically. A key already on disk
+// returns at once: content addressing means the file holds these very
+// bytes, and temp+fsync+rename means a present file is complete.
 func (s *ResultStore) Put(key string, val []byte) error {
 	p, err := s.path(key)
 	if err != nil {
 		return err
+	}
+	if _, err := os.Stat(p); err == nil {
+		return nil
 	}
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return err

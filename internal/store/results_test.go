@@ -53,6 +53,31 @@ func TestResultStoreFanOutLayout(t *testing.T) {
 	}
 }
 
+// TestResultStorePutOnce: a second Put of a key already on disk leaves
+// the first file in place instead of writing and renaming a copy.
+func TestResultStorePutOnce(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := OpenResults(dir)
+	p := filepath.Join(dir, testKey[:2], testKey)
+	if err := s.Put(testKey, []byte("once")); err != nil {
+		t.Fatal(err)
+	}
+	first, err := os.Stat(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testKey, []byte("once")); err != nil {
+		t.Fatal(err)
+	}
+	second, err := os.Stat(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(first, second) {
+		t.Fatal("second Put replaced the result file")
+	}
+}
+
 func TestResultStoreSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := OpenResults(dir)
