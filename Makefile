@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short vet fmt-check race verify bench bench-check smoke smoke-fleet smoke-ha smoke-overload fuzz sim-cluster sim-cluster-deep
+.PHONY: build test test-short vet fmt-check race verify golden bench bench-check smoke smoke-fleet smoke-ha smoke-overload fuzz sim-cluster sim-cluster-deep
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,33 @@ race:
 	$(GO) test -race -short ./internal/sim/... ./internal/experiments/... ./internal/pool/... ./internal/validate/... ./internal/server/... ./internal/store/... ./internal/cluster/... ./internal/omp/...
 
 verify: build test vet race
+
+# Golden gate: one file per slipd job kind under $(GOLDEN), the bytes of
+# that kind's test-scale study. TestGolden (internal/server, part of `go
+# test ./...`) checks slipd's execute against them; this target checks
+# that the CLIs print the same bytes: the five sweep studies at -jobs 1
+# and 8, slipsim's Figures 2-3 (static) and 4-5 (dynamic), and one
+# slipsim run minus the result norm/protocol lines slipd omits. A change
+# that moves any of these bytes regenerates the goldens (go test
+# ./internal/server -run TestGolden -update) and bumps CacheKeyVersion
+# in internal/server/spec.go in the same PR, so stale cached results stop
+# matching.
+GOLDEN := internal/server/testdata/golden
+golden:
+	mkdir -p bin
+	$(GO) build -o bin/slipsim ./cmd/slipsim
+	$(GO) build -o bin/sweep ./cmd/sweep
+	@set -e; for j in 1 8; do \
+		echo "sweep studies at -jobs $$j"; \
+		bin/sweep -study scaling -kernel CG -nodes 2,4 -scale test -jobs $$j -q | cmp - $(GOLDEN)/scaling.txt; \
+		bin/sweep -study tokens -kernel MG -at 4 -tokens 0,1 -scale test -jobs $$j -q | cmp - $(GOLDEN)/tokens.txt; \
+		bin/sweep -study characterize -at 2 -jobs $$j -q | cmp - $(GOLDEN)/characterize.txt; \
+		bin/sweep -study chaos -kernel CG -at 4 -faults 7:0.5 -scale test -jobs $$j -q | cmp - $(GOLDEN)/chaos.txt; \
+		bin/sweep -study tasks -nodes 2,4 -cutoffs 2,4 -scale test -jobs $$j -q | cmp - $(GOLDEN)/tasks.txt; \
+	done
+	(bin/slipsim -experiment fig2 -scale test -nodes 4 -q && bin/slipsim -experiment fig3 -scale test -nodes 4 -q) | cmp - $(GOLDEN)/static.txt
+	(bin/slipsim -experiment fig4 -scale test -nodes 4 -q && bin/slipsim -experiment fig5 -scale test -nodes 4 -q) | cmp - $(GOLDEN)/dynamic.txt
+	bin/slipsim -kernel CG -scale test -nodes 4 | grep -v -e '^result norm:' -e '^protocol:' | cmp - $(GOLDEN)/run.txt
 
 # Benchmark baselines are committed as BENCH_PR$(PR).json, one per PR that
 # moves performance. BENCHTIME is multi-iteration on purpose: -benchtime=1x

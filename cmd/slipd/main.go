@@ -82,14 +82,9 @@ func main() {
 		syncEvery   = flag.Duration("sync-interval", time.Second, "coordinator: cadence of the lease sweep, replication pushes and dispatch watchdog")
 		claimLease  = flag.Duration("claim-lease", 10*time.Second, "coordinator: claim lease duration; an unrenewed lease this old is reclaimed, and a worker silent this long is no longer counted")
 		claimPoll   = flag.Duration("claim-poll", 2*time.Second, "long-poll hold for POST /cluster/claims (coordinator cap and worker request)")
-
-		tenantWeight  = flag.Int("tenant-weight", 0, "default fair-queueing weight for tenants not named by -tenant (0 = 1)")
-		tenantRate    = flag.Float64("tenant-rate", 0, "default per-tenant admission rate in jobs/sec (0 = unlimited)")
-		tenantBurst   = flag.Float64("tenant-burst", 0, "default per-tenant admission burst (0 = max(rate, 1))")
-		tenantBacklog = flag.Int("tenant-backlog", 0, "default per-tenant queued-job bound; overflow is refused 429 (0 = unlimited)")
 	)
 	var tenants []server.TenantConfig
-	flag.Func("tenant", "declare a tenant as name:key[:weight[:rate[:burst[:backlog]]]] (repeatable); requests presenting the API key queue as this tenant", func(s string) error {
+	flag.Func("tenant", "declare a tenant as name:key[:weight[:rate[:burst[:backlog]]]] (repeatable); requests presenting the API key queue as this tenant, every other request as tenant default (limit it with default::weight:rate:burst:backlog)", func(s string) error {
 		tc, err := parseTenant(s)
 		if err != nil {
 			return err
@@ -122,12 +117,6 @@ func main() {
 		DataDir:     *dataDir,
 		MaxAttempts: *maxAttempts,
 		Tenants:     tenants,
-		TenantDefaults: server.TenantLimits{
-			Weight:  *tenantWeight,
-			Rate:    *tenantRate,
-			Burst:   *tenantBurst,
-			Backlog: *tenantBacklog,
-		},
 	}
 	fleet := fleetConfig{
 		coordinator: *coordinator,

@@ -1,10 +1,12 @@
 package omp
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/sim"
 )
 
 // cfg returns a small test configuration.
@@ -646,5 +648,27 @@ func TestSharedRequestClassificationPopulated(t *testing.T) {
 func TestScheduleStrings(t *testing.T) {
 	if Static.String() != "static" || Dynamic.String() != "dynamic" || Guided.String() != "guided" {
 		t.Fatal("schedule strings")
+	}
+}
+
+// A parallel region body that panics fails the run with an error naming
+// the panic, in every mode, instead of killing the process.
+func TestRegionPanicFailsRun(t *testing.T) {
+	for _, mode := range []core.Mode{core.ModeSingle, core.ModeDouble, core.ModeSlipstream} {
+		rt, err := New(cfg(mode, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = rt.Run(func(m *Thread) {
+			m.Parallel(func(t2 *Thread) {
+				if t2.ID() == 1 {
+					panic("region bug")
+				}
+			})
+		})
+		var pe *sim.PanicError
+		if !errors.As(err, &pe) || pe.Value != "region bug" {
+			t.Fatalf("%v: Run = %v, want the region's panic", mode, err)
+		}
 	}
 }

@@ -74,7 +74,7 @@ func (s *Server) execute(ctx context.Context, c *compiledSpec, progress io.Write
 		experiments.PrintTokenSweep(c.spec.Kernel, rows, &buf)
 
 	case KindChaos:
-		suite, err := experiments.RunChaosCtx(ctx, opts, *c.faults, c.chaosRates, progress)
+		suite, err := experiments.RunChaosCtx(ctx, opts, *c.faults, c.spec.Faults.Rates, progress)
 		if err != nil {
 			return nil, err
 		}

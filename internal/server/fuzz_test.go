@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -9,7 +11,9 @@ import (
 // with arbitrary bodies. The contract under fuzz: malformed JSON and
 // absurd specs (huge node or token counts, wild rates) must return an
 // error — never panic, and never produce a spec that compile accepts but
-// cacheKey cannot hash.
+// cacheKey cannot hash. A spec that compiles must recompile from its own
+// normalized form to the same key: the worker's version-skew check,
+// campaign replay and crash requeue all key the normalized spec.
 func FuzzParseSpec(f *testing.F) {
 	seeds := []string{
 		runSpecBody,
@@ -29,6 +33,10 @@ func FuzzParseSpec(f *testing.F) {
 		`{"kind":"run","kernel":"CG","tokens":-5}`,
 		`{"kind":"run","kernel":"CG","nodes":1000000000}`,
 		`{"kind":"run","kernel":"CG","params":{"nodes":64}}`,
+		`{"kind":"static","kernels":["mg"," CG","CG"," "]}`,
+		`{"kind":"tasks","node_counts":[4,2],"cutoffs":[4,2]}`,
+		`{"kind":"chaos","faults":{"seed":7,"rates":[0.5,0.5,0],"classes":["token","mem","token"]}}`,
+		`{"kind":"dynamic","self_invalidate":true}`,
 		`{"kind":"run","kernel":"CG"} trailing`,
 		`{"faults":{"rate":1e308}}`,
 		`not json`,
@@ -48,8 +56,24 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil {
 			return // rejected cleanly
 		}
-		if _, err := c.cacheKey(); err != nil {
+		key, err := c.cacheKey()
+		if err != nil {
 			t.Fatalf("compiled spec failed to hash: %v (body %q)", err, body)
+		}
+		norm, err := json.Marshal(c.spec)
+		if err != nil {
+			t.Fatalf("normalized spec failed to marshal: %v (body %q)", err, body)
+		}
+		spec2, err := decodeSpec(bytes.NewReader(norm))
+		if err != nil {
+			t.Fatalf("normalized spec %s failed to decode: %v (body %q)", norm, err, body)
+		}
+		c2, err := compile(spec2)
+		if err != nil {
+			t.Fatalf("normalized spec %s failed to recompile: %v (body %q)", norm, err, body)
+		}
+		if key2, err := c2.cacheKey(); err != nil || key2 != key {
+			t.Fatalf("normalized spec %s recompiled to key %s (%v), want %s (body %q)", norm, key2, err, key, body)
 		}
 	})
 }

@@ -79,8 +79,8 @@ type TenantConfig struct {
 	TenantLimits
 }
 
-// DefaultTenant is the tenant requests without a recognized API key
-// run under.
+// DefaultTenant is the tenant requests without a declared API key run
+// under. Declaring a tenant of this name (with no key) sets its limits.
 const DefaultTenant = "default"
 
 // ErrTenantLimited marks a submission refused by the submitting
@@ -194,15 +194,17 @@ func (tn *tenant) chargeTokens(now time.Time, n int) (time.Duration, bool) {
 // backlog + global depth) on the way in, strict-priority weighted-fair
 // dispatch on the way out. It has its own mutex and never calls back
 // into the Server, so it can be used under s.mu.
+//
+// The tenant set is fixed at construction: the declared tenants plus
+// the default tenant, which every undeclared API key shares.
 type scheduler struct {
 	mu       sync.Mutex
 	now      func() time.Time
 	depthCap int // global queued bound (Config.QueueDepth)
-	defaults TenantLimits
 
-	byKey   map[string]*tenant // API key → tenant
-	byName  map[string]*tenant
-	tenants []*tenant // sorted by name: deterministic WFQ tie-break
+	byKey   map[string]*tenant // API key → tenant; read-only after construction
+	byName  map[string]*tenant // read-only after construction
+	tenants []*tenant          // sorted by name: deterministic WFQ tie-break
 
 	queued int
 	vnow   float64 // global virtual time
@@ -214,60 +216,47 @@ func newScheduler(cfg Config, now func() time.Time) *scheduler {
 	sc := &scheduler{
 		now:      now,
 		depthCap: cfg.QueueDepth,
-		defaults: cfg.TenantDefaults,
 		byKey:    map[string]*tenant{},
 		byName:   map[string]*tenant{},
 		wake:     make(chan struct{}, 1),
 	}
+	add := func(name string, limits TenantLimits) *tenant {
+		if tn, ok := sc.byName[name]; ok {
+			return tn
+		}
+		tn := &tenant{name: name, limits: limits}
+		sc.byName[name] = tn
+		sc.tenants = append(sc.tenants, tn)
+		return tn
+	}
 	for _, tc := range cfg.Tenants {
-		tn := sc.addTenantLocked(tc.Name, tc.TenantLimits)
+		tn := add(tc.Name, tc.TenantLimits)
 		if tc.Key != "" {
 			sc.byKey[tc.Key] = tn
 		}
 	}
+	add(DefaultTenant, TenantLimits{})
+	sort.Slice(sc.tenants, func(a, b int) bool { return sc.tenants[a].name < sc.tenants[b].name })
 	return sc
 }
 
-// addTenantLocked registers a tenant, keeping the iteration order
-// sorted by name. Re-registering a name returns the existing tenant.
-func (sc *scheduler) addTenantLocked(name string, limits TenantLimits) *tenant {
-	if tn, ok := sc.byName[name]; ok {
-		return tn
-	}
-	tn := &tenant{name: name, limits: limits, vtime: sc.vnow}
-	sc.byName[name] = tn
-	sc.tenants = append(sc.tenants, tn)
-	sort.Slice(sc.tenants, func(a, b int) bool { return sc.tenants[a].name < sc.tenants[b].name })
-	return tn
-}
-
-// resolve maps an API key to a tenant name, registering unknown keys
-// as their own tenant under the default limits (every key is its own
-// admission domain; nobody shares a bucket by accident). An empty key
-// is the shared default tenant.
+// resolve maps an API key to its declared tenant's name. Every other
+// key, and no key, is the default tenant: a client cannot mint fresh
+// admission domains (or metrics series) by rotating keys.
 func (sc *scheduler) resolve(apiKey string) string {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if apiKey == "" {
-		return sc.addTenantLocked(DefaultTenant, sc.defaults).name
-	}
 	if tn, ok := sc.byKey[apiKey]; ok {
 		return tn.name
 	}
-	tn := sc.addTenantLocked(apiKey, sc.defaults)
-	sc.byKey[apiKey] = tn
-	return tn.name
+	return DefaultTenant
 }
 
-// tenantLocked fetches (or lazily registers) a tenant by name.
+// tenantLocked fetches a tenant by name. Names not declared, such as
+// journaled tenants no longer configured, are the default tenant.
 func (sc *scheduler) tenantLocked(name string) *tenant {
-	if name == "" {
-		name = DefaultTenant
-	}
 	if tn, ok := sc.byName[name]; ok {
 		return tn
 	}
-	return sc.addTenantLocked(name, sc.defaults)
+	return sc.byName[DefaultTenant]
 }
 
 // submit queues a job for dispatch. With charge set (the client-facing
@@ -427,10 +416,7 @@ func (sc *scheduler) popLocked() *Job {
 func (sc *scheduler) remove(j *Job) bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	tn, ok := sc.byName[j.tenant]
-	if !ok {
-		return false
-	}
+	tn := sc.tenantLocked(j.tenant)
 	for p := range tn.queues {
 		for i, q := range tn.queues[p] {
 			if q == j {
@@ -454,10 +440,7 @@ func (sc *scheduler) promote(j *Job, priority int) bool {
 	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	tn, ok := sc.byName[j.tenant]
-	if !ok {
-		return false
-	}
+	tn := sc.tenantLocked(j.tenant)
 	for p := 0; p < priority; p++ {
 		for i, q := range tn.queues[p] {
 			if q == j {

@@ -122,8 +122,9 @@ func TestSchedTokenBucketRate(t *testing.T) {
 	if err := sc.submit(schedJob("m-later", "metered", PriorityBatch), true); err != nil {
 		t.Fatalf("post-refill submission refused: %v", err)
 	}
+	// stats lists tenants by name: "default" (always present), "metered".
 	st := sc.stats()
-	if len(st) != 1 || st[0].Admitted != 3 || st[0].LimitedRate != 1 {
+	if len(st) != 2 || st[1].Name != "metered" || st[1].Admitted != 3 || st[1].LimitedRate != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -159,9 +160,10 @@ func TestSchedBacklogBound(t *testing.T) {
 // TestSchedIsolation pins the headline property: a tenant flooding its
 // own queue does not change when another tenant's job is served.
 func TestSchedIsolation(t *testing.T) {
-	sc, _ := schedFor(t, Config{})
-	sc.resolve("flood-key")
-	sc.resolve("probe-key")
+	sc, _ := schedFor(t, Config{Tenants: []TenantConfig{
+		{Name: "flood-key", Key: "flood-key"},
+		{Name: "probe-key", Key: "probe-key"},
+	}})
 	for i := 0; i < 50; i++ {
 		sc.submit(schedJob(sprintfJob("f", i), "flood-key", PriorityBatch), true)
 	}
@@ -174,23 +176,30 @@ func TestSchedIsolation(t *testing.T) {
 	}
 }
 
-// TestSchedUnknownKeyIsOwnTenant: unknown API keys get their own
-// admission domain rather than sharing the default tenant's.
-func TestSchedUnknownKeyIsOwnTenant(t *testing.T) {
-	sc, _ := schedFor(t, Config{TenantDefaults: TenantLimits{Backlog: 1}})
+// TestSchedUnknownKeyIsDefaultTenant: undeclared API keys share the
+// default tenant's admission domain, so rotating keys buys no extra
+// backlog (or rate), and the tenant set never grows.
+func TestSchedUnknownKeyIsDefaultTenant(t *testing.T) {
+	sc, _ := schedFor(t, Config{Tenants: []TenantConfig{
+		{Name: DefaultTenant, TenantLimits: TenantLimits{Backlog: 1}},
+	}})
 	a, b := sc.resolve("key-a"), sc.resolve("key-b")
-	if a == b || a == DefaultTenant {
-		t.Fatalf("resolve: %q vs %q", a, b)
+	if a != DefaultTenant || b != DefaultTenant {
+		t.Fatalf("resolve: %q, %q; want %q", a, b, DefaultTenant)
 	}
 	if err := sc.submit(schedJob("a-0", a, PriorityBatch), true); err != nil {
 		t.Fatal(err)
 	}
-	// a's backlog is full; b must be unaffected.
-	if err := sc.submit(schedJob("a-1", a, PriorityBatch), true); !errors.Is(err, ErrTenantLimited) {
-		t.Fatalf("tenant a over backlog: %v", err)
+	// The shared backlog is full: a fresh key is refused too.
+	if err := sc.submit(schedJob("b-0", b, PriorityBatch), true); !errors.Is(err, ErrTenantLimited) {
+		t.Fatalf("fresh key past the default backlog: %v", err)
 	}
-	if err := sc.submit(schedJob("b-0", b, PriorityBatch), true); err != nil {
-		t.Fatalf("tenant b refused by a's backlog: %v", err)
+	// A journaled tenant no longer declared queues as the default tenant.
+	if err := sc.submit(schedJob("old-0", "retired", PriorityBatch), true); !errors.Is(err, ErrTenantLimited) {
+		t.Fatalf("undeclared tenant name past the default backlog: %v", err)
+	}
+	if st := sc.stats(); len(st) != 1 || st[0].Name != DefaultTenant {
+		t.Fatalf("tenants = %+v, want only %q", st, DefaultTenant)
 	}
 }
 

@@ -52,14 +52,10 @@ type Config struct {
 	// ErrNoWorkers.
 	Cluster Cluster
 	// Tenants configures named tenants with API keys and per-tenant
-	// admission limits. Requests without a recognized key run as the
-	// shared default tenant under TenantDefaults.
+	// admission limits. Requests without a declared key run as the
+	// shared default tenant: unlimited unless a tenant named
+	// DefaultTenant is declared here with limits.
 	Tenants []TenantConfig
-	// TenantDefaults applies to the default tenant and to unrecognized
-	// API keys (each of which becomes its own tenant). The zero value —
-	// unlimited rate and backlog, weight 1 — reproduces the pre-tenant
-	// behavior exactly.
-	TenantDefaults TenantLimits
 }
 
 func (c Config) withDefaults() Config {
@@ -547,23 +543,24 @@ func (s *Server) runJob(j *Job) {
 			err = fmt.Errorf("job exceeded timeout %s: %v", s.cfg.JobTimeout, err)
 		}
 	}
-	elapsed := time.Since(start)
+	// Count the run before settling the job, so a client that sees it
+	// settle also finds it in /metrics.
+	if c != nil {
+		s.metrics.observeLatency(c.label(), time.Since(start))
+	}
 
 	if err == nil {
 		// Order matters across a crash: persist the bytes, then journal
 		// the terminal state (fsync'd). A done record therefore always
 		// has its result on disk; the reverse gap only costs a re-run.
 		s.cachePut(j.Key, result)
-		j.finish(result, "")
 		s.metrics.jobTransition(StateRunning, StateDone)
+		j.finish(result, "")
 		s.journalAppend(store.Record{Job: j.ID, Key: j.Key, State: string(StateDone), Attempts: attempts}, true)
 	} else {
-		j.finish(nil, err.Error())
 		s.metrics.jobTransition(StateRunning, StateFailed)
+		j.finish(nil, err.Error())
 		s.journalAppend(store.Record{Job: j.ID, Key: j.Key, State: string(StateFailed), Error: err.Error(), Attempts: attempts}, true)
-	}
-	if c != nil {
-		s.metrics.observeLatency(c.label(), elapsed)
 	}
 	s.clearInflight(j)
 	j.broker.close()

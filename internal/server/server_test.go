@@ -252,6 +252,7 @@ func TestValidationRejects(t *testing.T) {
 		`{"kind":"run","kernel":"CG","chunk":-2}`,
 		`{"kind":"static","kernel":"CG"}`,
 		`{"kind":"static","kernels":["CG","??"]}`,
+		`{"kind":"static","kernels":["EP"]}`, // a run kernel the suites do not filter
 		`{"kind":"scaling","kernel":"CG"}`,
 		`{"kind":"scaling","kernel":"CG","node_counts":[2,2]}`,
 		`{"kind":"scaling","kernel":"CG","node_counts":[0]}`,

@@ -22,10 +22,14 @@ import (
 // CacheKeyVersion is the code-version component of every cache key. Bump
 // it whenever a change alters simulation results or rendered output for
 // an unchanged spec (new machine parameter, timing-model fix, table
-// format change) — stale cached bytes must stop matching.
+// format change), or changes how a key is computed — stale cached bytes
+// must stop matching. The golden files under testdata/golden pin the
+// bytes; a change that moves one regenerates it and bumps this.
 // slipd-2: fault injection hooks in the machine/core/omp layers.
 // slipd-3: task-based scheduling study (kind "tasks", work-stealing deques).
-const CacheKeyVersion = "slipd-3"
+// slipd-4: the key hashes the normalized spec itself; scaling and tokens
+// count lists keep their order (the first entry is the base row).
+const CacheKeyVersion = "slipd-4"
 
 // Job kinds, mirroring the CLI surface: a single kernel run, the paper's
 // static/dynamic suites, the fixed-size scaling study, the A–R token
@@ -104,7 +108,8 @@ type JobSpec struct {
 
 	// Params optionally overrides the simulated machine, in the canonical
 	// machine.Params encoding (all fields present). Absent = Table 1
-	// defaults.
+	// defaults. Kinds scaling, tokens and characterize build Table-1
+	// machines of their own and refuse any other machine.
 	Params json.RawMessage `json:"params,omitempty"`
 }
 
@@ -118,18 +123,18 @@ type FaultSpec struct {
 }
 
 // compiledSpec is a validated, normalized spec with every string resolved
-// to its typed value, ready to execute and to hash.
+// to its typed value. The normalized spec is the one description of the
+// job: cacheKey hashes it, and the typed fields execute reads are all
+// derived from it.
 type compiledSpec struct {
 	spec     JobSpec // normalized copy (canonical casing, defaults applied)
 	priority int     // resolved scheduling class
 	scale    npb.Scale
-	opts     experiments.Options // canonical options for the suite kinds
+	opts     experiments.Options // suite options resolved from spec
 	mode     core.Mode
 	sync     core.Config
 	sched    omp.Schedule
-
-	faults     *faults.Config // armed plan (nil = no faults); Rate 0 for chaos
-	chaosRates []float64      // kind "chaos": normalized sweep (sorted, 0 included)
+	faults   *faults.Config // armed plan (nil = no faults); Rate 0 for chaos
 }
 
 // label names the metrics series for this spec: the kernel for
@@ -169,36 +174,53 @@ func compile(s JobSpec) (*compiledSpec, error) {
 	}
 	c.spec.Verify = &verify
 
-	opts := experiments.Options{
-		Nodes:          c.spec.Nodes,
-		Scale:          scale,
-		Kernels:        s.Kernels,
-		SelfInvalidate: s.SelfInvalidate,
-		Verify:         verify,
+	kernels, err := suiteKernels(s.Kernels)
+	if err != nil {
+		return nil, err
 	}
+	c.spec.Kernels = kernels
+
+	// The machine: the decoded params block or Table 1, with the spec's
+	// node count applied on top.
+	p := machine.DefaultParams()
 	if len(s.Params) > 0 {
-		p, err := machine.ParamsFromCanonicalJSON(s.Params)
-		if err != nil {
+		if p, err = machine.ParamsFromCanonicalJSON(s.Params); err != nil {
 			return nil, err
 		}
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
-		opts.Params = &p
 	}
-	c.opts = opts.Canonical()
-	if err := c.opts.Params.Validate(); err != nil {
+	p.Nodes = c.spec.Nodes
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	c.spec.Kernels = c.opts.Kernels
-	// Re-encode the resolved machine into the normalized spec so two
-	// specs describing the same machine (explicit defaults vs. omitted)
-	// normalize identically.
-	pj, err := c.opts.Params.CanonicalJSON()
-	if err != nil {
+	c.opts = experiments.Options{
+		Nodes:          c.spec.Nodes,
+		Scale:          scale,
+		Kernels:        kernels,
+		SelfInvalidate: s.SelfInvalidate,
+		Verify:         verify,
+		Params:         &p,
+	}
+	// Scaling, tokens and characterize build Table-1 machines of their
+	// own, and dynamic never self-invalidates: refuse a setting the run
+	// would ignore rather than key a result on it. A Table-1 params block
+	// is accepted and dropped, so older normalized specs still replay.
+	tableOne := s.Kind == KindScaling || s.Kind == KindTokens || s.Kind == KindCharacterize
+	if tableOne {
+		def := machine.DefaultParams()
+		def.Nodes = p.Nodes
+		if p != def {
+			return nil, fmt.Errorf("kind %q runs Table-1 machines and does not read params", s.Kind)
+		}
+		c.spec.Params = nil
+	} else if c.spec.Params, err = p.CanonicalJSON(); err != nil {
 		return nil, err
 	}
-	c.spec.Params = pj
+	if s.SelfInvalidate && (tableOne || s.Kind == KindDynamic) {
+		return nil, fmt.Errorf("kind %q does not read self_invalidate", s.Kind)
+	}
 
 	needKernel := func() error {
 		if c.spec.Kernel == "" {
@@ -289,6 +311,9 @@ func compile(s JobSpec) (*compiledSpec, error) {
 		if err := validateCounts(c.spec.Cutoffs, 0, npb.MaxTreeCutoff, "cutoffs"); err != nil {
 			return nil, err
 		}
+		// The runner sorts both axes, so either order is one table.
+		c.spec.NodeCounts = sortedInts(c.spec.NodeCounts)
+		c.spec.Cutoffs = sortedInts(c.spec.Cutoffs)
 	case "":
 		return nil, fmt.Errorf("missing kind (valid: run, static, dynamic, scaling, tokens, characterize, chaos, tasks)")
 	default:
@@ -313,16 +338,43 @@ func compile(s JobSpec) (*compiledSpec, error) {
 		return nil, fmt.Errorf("unknown priority %q (valid: interactive, batch)", s.Priority)
 	}
 	c.priority = PriorityValue(c.spec.Priority)
-
-	// Validate the suite filter eagerly so a bad name 400s at submit.
-	if len(c.spec.Kernels) > 0 {
-		for _, name := range c.spec.Kernels {
-			if _, err := npb.ByName(name); err != nil {
-				return nil, err
-			}
-		}
-	}
 	return c, nil
+}
+
+// suiteKernels normalizes a suite kernel filter (trimmed, uppercased,
+// blanks and duplicates dropped, sorted) and checks every name against
+// npb.Kernels(), the list the suites filter, so a bad name 400s at
+// submit. Sorting changes no output: suites render in npb.Kernels()
+// order. An empty filter stays nil ("all kernels").
+func suiteKernels(names []string) ([]string, error) {
+	valid := map[string]bool{}
+	var all []string
+	for _, k := range npb.Kernels() {
+		valid[k.Name] = true
+		all = append(all, k.Name)
+	}
+	seen := map[string]bool{}
+	var out []string
+	for _, n := range names {
+		name := strings.ToUpper(strings.TrimSpace(n))
+		if name == "" || seen[name] {
+			continue
+		}
+		if !valid[name] {
+			return nil, fmt.Errorf("unknown kernel %q (valid: %s)", n, strings.Join(all, ", "))
+		}
+		seen[name] = true
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
+// sortedInts returns a sorted copy of xs.
+func sortedInts(xs []int) []int {
+	out := append([]int(nil), xs...)
+	sort.Ints(out)
+	return out
 }
 
 // validateCounts applies the same rules as the sweep CLI: at least one
@@ -447,96 +499,24 @@ func (c *compiledSpec) compileChaosFaults(fs *FaultSpec) error {
 	}
 	sort.Float64s(norm)
 	c.faults = &cfg
-	c.chaosRates = norm
 	c.spec.Faults = &FaultSpec{Seed: cfg.Seed, Rates: norm, Classes: canon}
 	return nil
 }
 
-// canonKey is the frozen hashing shape (alphabetical field order, no
-// omitempty: absent and zero must hash identically forever).
-type canonKey struct {
-	Chunk       int             `json:"chunk"`
-	Cutoffs     []int           `json:"cutoffs"`
-	Faults      faultsKey       `json:"faults"`
-	Kernel      string          `json:"kernel"`
-	Kind        string          `json:"kind"`
-	Mode        string          `json:"mode"`
-	NodeCounts  []int           `json:"node_counts"`
-	Options     json.RawMessage `json:"options"`
-	Sched       string          `json:"sched"`
-	Sync        string          `json:"sync"`
-	TokenCounts []int           `json:"token_counts"`
-	Tokens      int             `json:"tokens"`
-	Version     string          `json:"version"`
-}
-
-// faultsKey is the canonical hashed form of a fault plan. The zero value
-// (no faults) hashes identically whether the block was absent or spelled
-// out with rate 0.
-type faultsKey struct {
-	Classes []string  `json:"classes"`
-	Rate    float64   `json:"rate"`
-	Rates   []float64 `json:"rates"`
-	Seed    uint64    `json:"seed"`
-}
-
-// faultsKeyOf builds the canonical fault member from the compiled plan.
-func (c *compiledSpec) faultsKeyOf() faultsKey {
-	k := faultsKey{Classes: []string{}, Rates: []float64{}}
-	if c.faults == nil {
-		return k
-	}
-	k.Seed = c.faults.Seed
-	k.Rate = c.faults.Rate
-	for _, cl := range c.faults.Classes {
-		k.Classes = append(k.Classes, cl.String())
-	}
-	k.Rates = append(k.Rates, c.chaosRates...)
-	return k
-}
-
-// cacheKey hashes the canonical form of the spec plus CacheKeyVersion.
-// Determinism makes this sound: two specs with equal keys run the same
-// simulation on the same code and therefore produce identical bytes.
+// cacheKey hashes CacheKeyVersion and the normalized spec with its
+// priority cleared: priority changes when a job runs, never what it
+// produces. Execution reads every input from that spec, so two specs
+// with equal keys run the same simulation on the same code and, by
+// determinism, produce identical bytes.
 func (c *compiledSpec) cacheKey() (string, error) {
-	oj, err := c.opts.CanonicalJSON()
+	spec := c.spec
+	spec.Priority = ""
+	data, err := json.Marshal(spec)
 	if err != nil {
 		return "", err
 	}
-	nodeCounts := append([]int(nil), c.spec.NodeCounts...)
-	sort.Ints(nodeCounts)
-	tokenCounts := append([]int(nil), c.spec.TokenCounts...)
-	sort.Ints(tokenCounts)
-	cutoffs := append([]int(nil), c.spec.Cutoffs...)
-	sort.Ints(cutoffs)
-	data, err := json.Marshal(canonKey{
-		Chunk:       c.spec.Chunk,
-		Cutoffs:     emptyNotNil(cutoffs),
-		Faults:      c.faultsKeyOf(),
-		Kernel:      c.spec.Kernel,
-		Kind:        c.spec.Kind,
-		Mode:        c.spec.Mode,
-		NodeCounts:  emptyNotNil(nodeCounts),
-		Options:     oj,
-		Sched:       c.spec.Sched,
-		Sync:        c.spec.Sync,
-		TokenCounts: emptyNotNil(tokenCounts),
-		Tokens:      c.spec.Tokens,
-		Version:     CacheKeyVersion,
-	})
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
+	sum := sha256.Sum256(append([]byte(CacheKeyVersion+"\n"), data...))
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// emptyNotNil keeps nil and empty slices hashing identically ([]).
-func emptyNotNil(xs []int) []int {
-	if xs == nil {
-		return []int{}
-	}
-	return xs
 }
 
 // decodeSpec parses a job spec strictly (see decodeStrict).

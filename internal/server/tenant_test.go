@@ -120,7 +120,10 @@ func TestTenantBacklog429(t *testing.T) {
 // with one worker pinned and a 12-deep batch flood from one tenant, an
 // interactive probe from another tenant is the very next dispatch.
 func TestTenantStarvationRegression(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1, Tenants: []TenantConfig{
+		{Name: "sk-flood", Key: "sk-flood"},
+		{Name: "sk-probe", Key: "sk-probe"},
+	}})
 
 	var mu sync.Mutex
 	var order []string
@@ -293,5 +296,49 @@ func TestTenantMetricsAndJobView(t *testing.T) {
 		if !strings.Contains(body, line) {
 			t.Errorf("metrics missing %q\n%s", line, body)
 		}
+	}
+}
+
+// TestUndeclaredKeysShareDefaultTenant: undeclared API keys neither
+// create tenants nor leak into /metrics labels or job views.
+func TestUndeclaredKeysShareDefaultTenant(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		Workers: 1,
+		Tenants: []TenantConfig{{Name: "acme", Key: "sk-acme"}},
+	})
+	const keys = 200
+	for i := 0; i < keys; i++ {
+		resp, _ := submitAs(t, ts, fmt.Sprintf("rotated-key-%d", i), runSpecBody)
+		if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit %d = %d", i, resp.StatusCode)
+		}
+	}
+	var names []string
+	for _, st := range s.sched.stats() {
+		names = append(names, st.Name)
+	}
+	if strings.Join(names, ",") != "acme,default" {
+		t.Fatalf("tenants = %v, want [acme default]", names)
+	}
+	metrics, _ := getBody(t, ts.URL+"/metrics")
+	jobs, _ := getBody(t, ts.URL+"/jobs")
+	if strings.Contains(metrics, "rotated-key") || strings.Contains(jobs, "rotated-key") {
+		t.Fatal("an undeclared API key appears in /metrics or GET /jobs")
+	}
+}
+
+// TestUndeclaredKeyRateLimited: the default tenant's limits bind every
+// undeclared key, so a fresh key cannot reset the token bucket.
+func TestUndeclaredKeyRateLimited(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Workers: 1,
+		Tenants: []TenantConfig{{Name: DefaultTenant, TenantLimits: TenantLimits{Rate: 0.5, Burst: 1}}},
+	})
+	if resp, _ := submitAs(t, ts, "fresh-key-1", specWithNodes(2, "")); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("first submit = %d", resp.StatusCode)
+	}
+	resp, _ := submitAs(t, ts, "fresh-key-2", specWithNodes(3, ""))
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second undeclared key = %d, want 429", resp.StatusCode)
 	}
 }

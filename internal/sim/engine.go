@@ -20,6 +20,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
@@ -149,9 +150,10 @@ func (e *Engine) Spawn(name string, start Time, fn func(*Context)) *Context {
 // Run executes events until the heap is empty. It returns an error if
 // unfinished contexts remain when the heap drains (a deadlock: some context
 // parked without a scheduled wake-up, which indicates a bug in the caller's
-// synchronization code). On the deadlock path the engine tears the parked
-// contexts down before returning, so their goroutines are reclaimed instead
-// of leaking blocked on a dispatch that will never come.
+// synchronization code), or a *PanicError as soon as a context's body
+// panics. On both paths the engine tears the parked contexts down before
+// returning, so their goroutines are reclaimed instead of leaking blocked
+// on a dispatch that will never come.
 func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("sim: engine already running")
@@ -171,6 +173,10 @@ func (e *Engine) Run() error {
 		}
 		c.run <- struct{}{}
 		<-e.yield
+		if c.panicked != nil {
+			e.teardown()
+			return c.panicked
+		}
 	}
 	for _, c := range e.contexts {
 		if !c.finished {
@@ -287,16 +293,31 @@ func (w *worker) loop() {
 	}
 }
 
-// runBody executes the context function, absorbing the abort unwind.
+// runBody executes the context function, absorbing the abort unwind. Any
+// other panic is recorded on the context for Run to return: re-panicking
+// here, on the worker goroutine, would kill the process beyond the reach
+// of any caller's recover.
 func (c *Context) runBody() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(abortPark); !ok {
-				panic(r)
+				c.panicked = &PanicError{Context: c.name, Value: r, Stack: debug.Stack()}
 			}
 		}
 	}()
 	c.fn(c)
+}
+
+// PanicError reports a context body that panicked. Run returns it after
+// tearing the other contexts down.
+type PanicError struct {
+	Context string // name of the panicking context
+	Value   any    // the value passed to panic
+	Stack   []byte // the panicking goroutine's stack
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sim: context %q panicked: %v", e.Context, e.Value)
 }
 
 // Context is a simulated thread of execution managed by an Engine.
@@ -307,6 +328,7 @@ type Context struct {
 	fn       func(*Context)
 	finished bool
 	aborted  bool
+	panicked *PanicError // set when the body panicked
 }
 
 // Name returns the context's debug name.

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -465,5 +467,48 @@ func TestPropertyAdvanceSums(t *testing.T) {
 	}
 	if err := quickCheck(f); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// panicRun drives an engine whose second context panics mid-run while
+// the first is parked: Run must return the panic as an error naming the
+// context and value, and tear the parked context down.
+func panicRun(t *testing.T) {
+	t.Helper()
+	e := NewEngine()
+	e.Spawn("parked", 0, func(c *Context) { c.Advance(100) })
+	e.Spawn("boom", 0, func(c *Context) {
+		c.Advance(1)
+		panic("kernel bug")
+	})
+	err := e.Run()
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Context != "boom" || pe.Value != "kernel bug" {
+		t.Fatalf("Run = %v, want the panic of context boom", err)
+	}
+	if !strings.Contains(err.Error(), `"boom"`) || !strings.Contains(err.Error(), "kernel bug") {
+		t.Fatalf("error %q does not name the context and value", err)
+	}
+	if !strings.Contains(string(pe.Stack), "panicRun") {
+		t.Fatalf("recorded stack does not reach the panicking body:\n%s", pe.Stack)
+	}
+	if !e.Finished() {
+		t.Fatal("panic left unfinished contexts")
+	}
+}
+
+// A panicking context fails its run instead of killing the process, and
+// repeated panicking runs do not accumulate goroutines.
+func TestContextPanicFailsRun(t *testing.T) {
+	panicRun(t) // warm the worker pool
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	const runs = 50
+	for i := 0; i < runs; i++ {
+		panicRun(t)
+	}
+	runtime.GC()
+	if after := runtime.NumGoroutine(); after > before+10 {
+		t.Fatalf("goroutines grew %d -> %d over %d panicking runs", before, after, runs)
 	}
 }
