@@ -75,17 +75,49 @@ func (co *Coordinator) replicateLoop(p *peerLink) {
 		case <-t.C:
 		case <-p.kick:
 		}
-		body, err := json.Marshal(ReplicateBatch{Records: co.table.Snapshot()})
+		bodies, err := replicateBodies(co.table.Snapshot())
 		if err != nil {
 			co.cfg.Logf("cluster: marshal replication batch: %v", err)
 			continue
 		}
-		err = co.postReplicate(p.url, body)
+		for _, body := range bodies {
+			if err = co.postReplicate(p.url, body); err != nil {
+				break
+			}
+		}
 		if co.ctx.Err() != nil {
 			return // closed mid-push; the peer did nothing wrong
 		}
 		p.observe(co.cfg.Now(), err, co.cfg.Logf)
 	}
+}
+
+// replicateBodies splits a snapshot into consecutive ReplicateBatch
+// bodies that each fit the receiver's bounds: at most maxBatchRecs
+// records and maxResultLen bytes. Merge applies records one at a time,
+// so a split snapshot converges exactly as a whole one does. An empty
+// snapshot is still one (empty) body: the push doubles as the peer's
+// reachability probe.
+func replicateBodies(recs []ClaimRecord) ([][]byte, error) {
+	const head, tail = `{"records":[`, `]}`
+	var bodies [][]byte
+	body, n := []byte(head), 0
+	for _, r := range recs {
+		b, err := json.Marshal(r)
+		if err != nil {
+			return nil, err
+		}
+		if n > 0 && (n == maxBatchRecs || len(body)+1+len(b)+len(tail) > maxResultLen) {
+			bodies = append(bodies, append(body, tail...))
+			body, n = []byte(head), 0
+		}
+		if n > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, b...)
+		n++
+	}
+	return append(bodies, append(body, tail...)), nil
 }
 
 func (co *Coordinator) postReplicate(url string, body []byte) error {

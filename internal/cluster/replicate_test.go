@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -49,5 +51,60 @@ func TestHungPeerDoesNotDelayLivePeer(t *testing.T) {
 	}, "push to the hung peer never timed out")
 	if s := co.Stats(); s.Peers[0].Reachable || !s.Peers[1].Reachable {
 		t.Fatalf("peer statuses %+v, want only the live peer reachable", s.Peers)
+	}
+}
+
+// TestReplicationSplitsLargeSnapshots: a claim table past one batch's
+// bounds (record count, then body bytes) still replicates every key to
+// the peer, and the pusher records the peer reachable.
+func TestReplicationSplitsLargeSnapshots(t *testing.T) {
+	cases := []struct {
+		name    string
+		entries int
+		result  int // bytes per done result; 0 means pending claims
+	}{
+		{"records", maxBatchRecs + 1, 0},
+		{"bytes", 2600, 5 << 10},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			peer := NewCoordinator(fastCfg(nil))
+			defer peer.Close()
+			peerSrv := httptest.NewServer(peer.Handler())
+			defer peerSrv.Close()
+			// A post may take twice the sync interval: a 16 MiB batch needs
+			// seconds under the race detector.
+			co := NewCoordinator(Config{SyncInterval: 5 * time.Second, Peers: []string{peerSrv.URL}})
+			defer co.Close()
+
+			recs := make([]ClaimRecord, tc.entries)
+			for i := range recs {
+				recs[i] = ClaimRecord{Key: fmt.Sprintf("%064x", i), Label: "run/CG", Spec: json.RawMessage(runSpecBody), State: ClaimPending}
+				if tc.result > 0 {
+					recs[i].State = ClaimDone
+					recs[i].Attempt = 1
+					recs[i].Result = bytes.Repeat([]byte{byte('a' + i%26)}, tc.result)
+				}
+			}
+			co.table.Merge(recs)
+
+			waitFor(t, 30*time.Second, func() bool { return len(peer.ClaimViews()) == tc.entries },
+				"peer never received every claim")
+			link := co.peers[0]
+			waitFor(t, 10*time.Second, func() bool {
+				link.mu.Lock()
+				defer link.mu.Unlock()
+				return link.attempted && link.ok
+			}, "pusher never recorded the peer reachable")
+			want := ClaimPending
+			if tc.result > 0 {
+				want = ClaimDone
+			}
+			for _, v := range peer.ClaimViews() {
+				if v.State != want {
+					t.Fatalf("peer claim %s is %s, want %s", v.Key, v.State, want)
+				}
+			}
+		})
 	}
 }

@@ -92,19 +92,6 @@ func decodeCampaignSpec(r io.Reader) (CampaignSpec, error) {
 	return cs, nil
 }
 
-// compiledCampaign is a validated campaign: normalized spec, compiled
-// cells, and a proven-acyclic dependency graph.
-type compiledCampaign struct {
-	spec  CampaignSpec // normalized (canonical policy/priority, normalized cell specs)
-	cells []compiledCell
-}
-
-type compiledCell struct {
-	id    string
-	after []string
-	c     *compiledSpec
-}
-
 // validCellID enforces the cell id charset ([A-Za-z0-9._-], 1..64).
 // "/" is deliberately excluded: cell journal records live under
 // "<campaign>/<cell>" ids.
@@ -125,8 +112,10 @@ func validCellID(id string) bool {
 
 // compileCampaign validates a campaign spec: bounds, id uniqueness,
 // well-formed dependency edges, cycle rejection (Kahn), and a compile
-// of every cell spec. All user errors surface as 400s.
-func compileCampaign(cs CampaignSpec) (*compiledCampaign, error) {
+// and cache key of every cell spec. All user errors surface as 400s.
+// The campaign it returns has no id or tenant yet and is not
+// registered: nothing else can see it, so no locking here.
+func compileCampaign(cs CampaignSpec) (*campaign, error) {
 	if len(cs.Cells) == 0 {
 		return nil, fmt.Errorf("campaign requires at least one cell")
 	}
@@ -136,21 +125,27 @@ func compileCampaign(cs CampaignSpec) (*compiledCampaign, error) {
 	if len(cs.Name) > maxCampaignName {
 		return nil, fmt.Errorf("campaign name longer than %d bytes", maxCampaignName)
 	}
-	cc := &compiledCampaign{spec: cs}
+	camp := &campaign{
+		broker:  newBroker(),
+		spec:    cs,
+		state:   campaignRunning,
+		created: time.Now(),
+		cells:   map[string]*campCell{},
+	}
 
 	switch strings.ToLower(cs.Policy) {
 	case "":
-		cc.spec.Policy = PolicyContinue
+		camp.spec.Policy = PolicyContinue
 	case PolicyContinue, PolicyHalt:
-		cc.spec.Policy = strings.ToLower(cs.Policy)
+		camp.spec.Policy = strings.ToLower(cs.Policy)
 	default:
 		return nil, fmt.Errorf("unknown policy %q (valid: continue, halt)", cs.Policy)
 	}
 	switch strings.ToLower(cs.Priority) {
 	case "":
-		cc.spec.Priority = ""
+		camp.spec.Priority = ""
 	case PriorityNameInteractive, PriorityNameBatch:
-		cc.spec.Priority = strings.ToLower(cs.Priority)
+		camp.spec.Priority = strings.ToLower(cs.Priority)
 	default:
 		return nil, fmt.Errorf("unknown priority %q (valid: interactive, batch)", cs.Priority)
 	}
@@ -217,103 +212,110 @@ func compileCampaign(cs CampaignSpec) (*compiledCampaign, error) {
 		}
 	}
 
-	cc.cells = make([]compiledCell, len(cs.Cells))
 	for i, cell := range cs.Cells {
 		spec := cell.Spec
-		if cc.spec.Priority != "" {
-			spec.Priority = cc.spec.Priority
+		if camp.spec.Priority != "" {
+			spec.Priority = camp.spec.Priority
 		}
 		c, err := compile(spec)
+		var key string
+		if err == nil {
+			key, err = c.cacheKey()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("cell %q: %v", cell.ID, err)
 		}
-		cc.cells[i] = compiledCell{id: cell.ID, after: cell.After, c: c}
-		cc.spec.Cells[i].Spec = c.spec // journal the normalized form
+		camp.spec.Cells[i].Spec = c.spec // journal the normalized form
+		camp.order = append(camp.order, cell.ID)
+		camp.cells[cell.ID] = &campCell{id: cell.ID, after: cell.After, c: c, key: key, state: cellPending}
 	}
-	return cc, nil
+	fmt.Fprintf(camp.broker, "campaign created: %d cells, policy %s\n", len(camp.order), camp.spec.Policy)
+	return camp, nil
 }
 
-// campaign is one live (or restored) campaign. All mutable state is
-// guarded by mu. Lock order: camp.mu may be held while taking s.mu or
-// the scheduler's mutex, never the reverse.
+// campaign is one live (or restored) campaign. ID, spec, tenant, order
+// and the cells map are fixed before the campaign is installed; the
+// campaign state and every cell's fields are guarded by mu. Lock order:
+// camp.mu may be held while taking s.mu, a job's mutex or the
+// scheduler's mutex, never the reverse.
 type campaign struct {
 	ID     string
-	broker *broker // progress rollups for GET /campaigns/{id}/events
+	broker *broker      // progress rollups for GET /campaigns/{id}/events
+	spec   CampaignSpec // normalized (canonical policy/priority, normalized cell specs)
+	tenant string
+	order  []string
+	cells  map[string]*campCell
 
 	mu        sync.Mutex
-	name      string
-	tenant    string
-	policy    string
-	priority  string
 	state     string
 	halted    bool // no further pending cells launch
 	cancelled bool
 	created   time.Time
 	finished  time.Time
-	order     []string
-	cells     map[string]*campCell
+}
 
+// campCell is one DAG node. Its state is the campaign's only record of
+// progress: counts and readiness are derived from the cells.
+type campCell struct {
+	id        string
+	after     []string
+	c         *compiledSpec
+	key       string // cache key, fixed at admission
+	state     string
+	job       *Job // the job it launched or collapsed onto
+	errMsg    string
+	collapsed bool // answered by cache or single-flight dedup, not a fresh run
+}
+
+// campCounts is a campaign's rollup of settled cells.
+type campCounts struct {
 	done, failed, skipped, collapsed int
 }
 
-type campCell struct {
-	id         string
-	after      []string
-	spec       JobSpec // normalized
-	key        string  // cache key, filled at launch
-	state      string
-	jobID      string
-	errMsg     string
-	collapsed  bool // answered by cache or single-flight dedup, not a fresh run
-	remaining  int  // unmet dependencies
-	dependents []string
-}
-
-// buildCampaign materializes a compiled campaign under an id (shared
-// by fresh admission and journal rebuild). Not yet registered: nothing
-// else can see it, so no locking here.
-func buildCampaign(id string, cc *compiledCampaign, tenant string) *campaign {
-	camp := &campaign{
-		ID:       id,
-		broker:   newBroker(),
-		name:     cc.spec.Name,
-		tenant:   tenant,
-		policy:   cc.spec.Policy,
-		priority: cc.spec.Priority,
-		state:    campaignRunning,
-		created:  time.Now(),
-		cells:    map[string]*campCell{},
-	}
-	for _, cell := range cc.cells {
-		camp.order = append(camp.order, cell.id)
-		camp.cells[cell.id] = &campCell{
-			id:        cell.id,
-			after:     append([]string(nil), cell.after...),
-			spec:      cell.c.spec,
-			state:     cellPending,
-			remaining: len(cell.after),
+// countsLocked derives the rollup from the cell states.
+func (camp *campaign) countsLocked() campCounts {
+	var n campCounts
+	for _, cl := range camp.cells {
+		switch cl.state {
+		case cellDone:
+			n.done++
+			if cl.collapsed {
+				n.collapsed++
+			}
+		case cellFailed:
+			n.failed++
+		case cellSkipped:
+			n.skipped++
 		}
 	}
-	for _, cell := range cc.cells {
-		for _, dep := range cell.after {
-			camp.cells[dep].dependents = append(camp.cells[dep].dependents, cell.id)
-		}
-	}
-	fmt.Fprintf(camp.broker, "campaign created: %d cells, policy %s\n", len(camp.order), camp.policy)
-	return camp
+	return n
 }
 
-// registerCampaign installs a campaign in the registry under the next
-// id and returns it.
-func (s *Server) registerCampaign(cc *compiledCampaign, tenant string) *campaign {
+// readyLocked reports whether a cell may launch: it is pending, the
+// campaign is not halted, and every cell it runs after is done.
+func (camp *campaign) readyLocked(cl *campCell) bool {
+	if cl.state != cellPending || camp.halted {
+		return false
+	}
+	for _, dep := range cl.after {
+		if camp.cells[dep].state != cellDone {
+			return false
+		}
+	}
+	return true
+}
+
+// installCampaign makes a fully built campaign visible in the registry.
+// A fresh campaign (no id yet) takes the next one.
+func (s *Server) installCampaign(camp *campaign) {
 	s.campMu.Lock()
-	s.nextCamp++
-	id := fmt.Sprintf("campaign-%d", s.nextCamp)
-	camp := buildCampaign(id, cc, tenant)
-	s.campaigns[id] = camp
-	s.campOrder = append(s.campOrder, id)
-	s.campMu.Unlock()
-	return camp
+	defer s.campMu.Unlock()
+	if camp.ID == "" {
+		s.nextCamp++
+		camp.ID = fmt.Sprintf("campaign-%d", s.nextCamp)
+	}
+	s.campaigns[camp.ID] = camp
+	s.campOrder = append(s.campOrder, camp.ID)
 }
 
 // campaignJSON renders the normalized campaign spec for its journal
@@ -332,7 +334,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		bodyError(w, err)
 		return
 	}
-	cc, err := compileCampaign(cs)
+	camp, err := compileCampaign(cs)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -344,35 +346,32 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		writeRefusal(w, ErrDraining)
 		return
 	}
-	tenant := s.sched.resolve(apiKeyFrom(r))
-	if err := s.sched.admitCampaign(tenant, len(cc.cells)); err != nil {
+	camp.tenant = s.sched.resolve(apiKeyFrom(r))
+	if err := s.sched.admitCampaign(camp.tenant, len(camp.order)); err != nil {
 		writeRefusal(w, err)
 		return
 	}
-	camp := s.registerCampaign(cc, tenant)
+	s.installCampaign(camp)
 	// Sync: losing this record would orphan the DAG — cell jobs would
 	// requeue as plain jobs with nothing tracking their dependents.
-	s.journalAppend(store.Record{Job: camp.ID, Campaign: camp.ID, State: campaignRunning, Spec: campaignJSON(cc.spec), Tenant: tenant, Priority: cc.spec.Priority}, true)
+	s.journalAppend(store.Record{Job: camp.ID, Campaign: camp.ID, State: campaignRunning, Spec: campaignJSON(camp.spec), Tenant: camp.tenant, Priority: camp.spec.Priority}, true)
 	s.launchReady(camp)
-	writeJSON(w, http.StatusCreated, map[string]any{"campaign": s.campaignView(camp)})
+	writeJSON(w, http.StatusCreated, map[string]any{"campaign": camp.view()})
 }
 
-// launchReady submits every launchable cell: pending, dependencies
-// met, campaign not halted. Safe to call from any goroutine; the
-// pending→queued transition under camp.mu makes launches single-shot.
+// launchReady submits every launchable cell (see readyLocked). Safe to
+// call from any goroutine; the pending→queued transition under camp.mu
+// makes launches single-shot.
 func (s *Server) launchReady(camp *campaign) {
 	for {
 		camp.mu.Lock()
-		if camp.state != campaignRunning {
-			camp.mu.Unlock()
-			return
-		}
 		var cell *campCell
-		for _, id := range camp.order {
-			cl := camp.cells[id]
-			if cl.state == cellPending && cl.remaining == 0 && !camp.halted {
-				cell = cl
-				break
+		if camp.state == campaignRunning {
+			for _, id := range camp.order {
+				if cl := camp.cells[id]; camp.readyLocked(cl) {
+					cell = cl
+					break
+				}
 			}
 		}
 		if cell == nil {
@@ -380,30 +379,16 @@ func (s *Server) launchReady(camp *campaign) {
 			return
 		}
 		cell.state = cellQueued // claimed; reverted on transient refusal
-		spec := cell.spec
-		tenant := camp.tenant
-		cellID := cell.id
 		camp.mu.Unlock()
 
-		c, err := compile(spec)
-		var key string
-		if err == nil {
-			key, err = c.cacheKey()
-		}
+		j, out, err := s.register(cell.c, cell.key, submission{tenant: camp.tenant, priority: cell.c.priority, campaign: camp.ID, cell: cell.id})
+		camp.mu.Lock()
 		if err != nil {
-			// Unreachable for specs that compiled at admission; settle
-			// rather than wedge the DAG if a future version disagrees.
-			s.cellSettled(camp, cellID, false, fmt.Sprintf("unlaunchable cell spec: %v", err))
-			continue
-		}
-		j, out, rerr := s.register(c, key, submission{tenant: tenant, priority: c.priority, campaign: camp.ID, cell: cellID})
-		if rerr != nil {
-			camp.mu.Lock()
 			if cell.state == cellQueued {
 				cell.state = cellPending
 			}
 			camp.mu.Unlock()
-			if errors.Is(rerr, ErrQueueFull) {
+			if errors.Is(err, ErrQueueFull) {
 				// Global pressure: the cells are already admitted, they
 				// just wait for room.
 				time.AfterFunc(campaignRetryDelay, func() { s.launchReady(camp) })
@@ -411,67 +396,70 @@ func (s *Server) launchReady(camp *campaign) {
 			// Draining: the journaled campaign resumes on the next start.
 			return
 		}
-		camp.mu.Lock()
-		cell.key = key
-		cell.jobID = j.ID
+		cell.job = j
 		cell.collapsed = out.Cached || out.Dedup
 		camp.mu.Unlock()
-		go s.watchCell(camp, cellID, j)
+		go s.watchCell(camp, cell, j)
 	}
 }
 
 // watchCell settles a cell when its job reaches a terminal state.
-func (s *Server) watchCell(camp *campaign, cellID string, j *Job) {
+func (s *Server) watchCell(camp *campaign, cell *campCell, j *Job) {
 	<-j.done
 	v := j.snapshot()
-	s.cellSettled(camp, cellID, v.State == StateDone, v.Error)
+	s.cellSettled(camp, cell, v.State == StateDone, v.Error)
 }
 
-// cellSettled folds one cell's outcome into the campaign: done cells
-// release their dependents, failed cells trigger the failure policy,
-// and the last settled cell finalizes the campaign.
-func (s *Server) cellSettled(camp *campaign, cellID string, ok bool, errMsg string) {
+// cellSettled folds one cell's job outcome into the campaign: a failed
+// cell triggers the failure policy, the last settled cell finalizes the
+// campaign, and otherwise whatever became ready launches.
+func (s *Server) cellSettled(camp *campaign, cell *campCell, ok bool, errMsg string) {
 	camp.mu.Lock()
-	cell := camp.cells[cellID]
-	if cell == nil || cell.state == cellDone || cell.state == cellFailed || cell.state == cellSkipped {
+	if cell.state != cellQueued {
 		camp.mu.Unlock()
-		return
+		return // already settled: a cancel detached it from the job
 	}
-	newlyReady := false
 	if ok {
-		cell.state = cellDone
-		camp.done++
-		if cell.collapsed {
-			camp.collapsed++
-		}
-		for _, d := range cell.dependents {
-			dep := camp.cells[d]
-			dep.remaining--
-			if dep.remaining == 0 && dep.state == cellPending {
-				newlyReady = true
-			}
-		}
+		s.settleLocked(camp, cell, cellDone, "")
 	} else {
+		// The skip passes see the failure first, so the failed cell's own
+		// line follows the skip lines it causes.
 		cell.state = cellFailed
-		cell.errMsg = errMsg
-		camp.failed++
 		s.skipUnreachableLocked(camp)
-		if camp.policy == PolicyHalt {
+		if camp.spec.Policy == PolicyHalt {
 			camp.halted = true
 			s.skipPendingLocked(camp, fmt.Sprintf("halted: cell %q failed", cell.id))
 		}
+		s.settleLocked(camp, cell, cellFailed, errMsg)
 	}
-	s.journalCellLocked(camp, cell)
-	camp.rollupLocked(cell)
 	terminal := camp.checkTerminalLocked()
 	camp.mu.Unlock()
 	if terminal {
 		s.finalizeCampaign(camp)
 		return
 	}
-	if newlyReady {
-		s.launchReady(camp)
-	}
+	s.launchReady(camp)
+}
+
+// settleLocked moves a cell to a terminal state, journals it under the
+// "<campaign>/<cell>" id namespace (so replay can rebuild DAG progress
+// without re-deriving it from job records) and emits one SSE rollup
+// line summarizing the campaign.
+func (s *Server) settleLocked(camp *campaign, cell *campCell, state, errMsg string) {
+	cell.state = state
+	cell.errMsg = errMsg
+	s.journalAppend(store.Record{
+		Job:      camp.ID + "/" + cell.id,
+		Campaign: camp.ID,
+		Cell:     cell.id,
+		Key:      cell.key,
+		State:    state,
+		Error:    errMsg,
+		Cached:   cell.collapsed,
+	}, false)
+	n := camp.countsLocked()
+	fmt.Fprintf(camp.broker, "cell %s %s (%d/%d done, %d failed, %d skipped, %d collapsed)\n",
+		cell.id, state, n.done, len(camp.order), n.failed, n.skipped, n.collapsed)
 }
 
 // skipUnreachableLocked deterministically skips every pending cell
@@ -488,13 +476,8 @@ func (s *Server) skipUnreachableLocked(camp *campaign) {
 				continue
 			}
 			for _, dep := range cl.after {
-				dst := camp.cells[dep].state
-				if dst == cellFailed || dst == cellSkipped {
-					cl.state = cellSkipped
-					cl.errMsg = fmt.Sprintf("skipped: dependency %q did not complete", dep)
-					camp.skipped++
-					s.journalCellLocked(camp, cl)
-					camp.rollupLocked(cl)
+				if st := camp.cells[dep].state; st == cellFailed || st == cellSkipped {
+					s.settleLocked(camp, cl, cellSkipped, fmt.Sprintf("skipped: dependency %q did not complete", dep))
 					changed = true
 					break
 				}
@@ -507,38 +490,10 @@ func (s *Server) skipUnreachableLocked(camp *campaign) {
 // cancellation). Already-launched cells are left to finish.
 func (s *Server) skipPendingLocked(camp *campaign, reason string) {
 	for _, id := range camp.order {
-		cl := camp.cells[id]
-		if cl.state != cellPending {
-			continue
+		if cl := camp.cells[id]; cl.state == cellPending {
+			s.settleLocked(camp, cl, cellSkipped, reason)
 		}
-		cl.state = cellSkipped
-		cl.errMsg = reason
-		camp.skipped++
-		s.journalCellLocked(camp, cl)
-		camp.rollupLocked(cl)
 	}
-}
-
-// journalCellLocked records a cell's terminal state under the
-// "<campaign>/<cell>" id namespace, so replay can rebuild DAG progress
-// without re-deriving it from job records.
-func (s *Server) journalCellLocked(camp *campaign, cell *campCell) {
-	s.journalAppend(store.Record{
-		Job:      camp.ID + "/" + cell.id,
-		Campaign: camp.ID,
-		Cell:     cell.id,
-		Key:      cell.key,
-		State:    cell.state,
-		Error:    cell.errMsg,
-		Cached:   cell.collapsed,
-	}, false)
-}
-
-// rollupLocked emits one SSE progress line summarizing the campaign
-// after a cell transition.
-func (camp *campaign) rollupLocked(cell *campCell) {
-	fmt.Fprintf(camp.broker, "cell %s %s (%d/%d done, %d failed, %d skipped, %d collapsed)\n",
-		cell.id, cell.state, camp.done, len(camp.order), camp.failed, camp.skipped, camp.collapsed)
 }
 
 // checkTerminalLocked settles the campaign state once every cell is
@@ -547,13 +502,14 @@ func (camp *campaign) checkTerminalLocked() bool {
 	if camp.state != campaignRunning {
 		return false
 	}
-	if camp.done+camp.failed+camp.skipped < len(camp.order) {
+	n := camp.countsLocked()
+	if n.done+n.failed+n.skipped < len(camp.order) {
 		return false
 	}
 	switch {
 	case camp.cancelled:
 		camp.state = campaignCancelled
-	case camp.failed > 0 || camp.skipped > 0:
+	case n.failed > 0 || n.skipped > 0:
 		camp.state = campaignFailed
 	default:
 		camp.state = campaignDone
@@ -567,9 +523,8 @@ func (camp *campaign) checkTerminalLocked() bool {
 func (s *Server) finalizeCampaign(camp *campaign) {
 	camp.mu.Lock()
 	state := camp.state
-	tenant := camp.tenant
 	camp.mu.Unlock()
-	s.journalAppend(store.Record{Job: camp.ID, Campaign: camp.ID, State: state, Tenant: tenant}, true)
+	s.journalAppend(store.Record{Job: camp.ID, Campaign: camp.ID, State: state, Tenant: camp.tenant}, true)
 	fmt.Fprintf(camp.broker, "campaign %s\n", state)
 	camp.broker.close()
 }
@@ -608,31 +563,32 @@ type CampaignCellView struct {
 	Collapsed bool     `json:"collapsed,omitempty"`
 }
 
-// campaignView snapshots a campaign, upgrading queued cells whose job
-// is already running.
-func (s *Server) campaignView(camp *campaign) CampaignView {
+// view snapshots a campaign, upgrading queued cells whose job is
+// already running.
+func (camp *campaign) view() CampaignView {
 	camp.mu.Lock()
 	defer camp.mu.Unlock()
+	n := camp.countsLocked()
 	v := CampaignView{
 		ID:             camp.ID,
-		Name:           camp.name,
+		Name:           camp.spec.Name,
 		State:          camp.state,
-		Policy:         camp.policy,
-		Priority:       camp.priority,
+		Policy:         camp.spec.Policy,
+		Priority:       camp.spec.Priority,
 		Tenant:         camp.tenant,
 		Created:        camp.created,
 		TotalCells:     len(camp.order),
-		DoneCells:      camp.done,
-		FailedCells:    camp.failed,
-		SkippedCells:   camp.skipped,
-		CollapsedCells: camp.collapsed,
+		DoneCells:      n.done,
+		FailedCells:    n.failed,
+		SkippedCells:   n.skipped,
+		CollapsedCells: n.collapsed,
 	}
 	if !camp.finished.IsZero() {
 		t := camp.finished
 		v.Finished = &t
 	}
 	if v.TotalCells > 0 {
-		v.CacheCollapseRatio = float64(camp.collapsed) / float64(v.TotalCells)
+		v.CacheCollapseRatio = float64(n.collapsed) / float64(v.TotalCells)
 	}
 	for _, id := range camp.order {
 		cl := camp.cells[id]
@@ -640,22 +596,35 @@ func (s *Server) campaignView(camp *campaign) CampaignView {
 			ID:        cl.id,
 			State:     cl.state,
 			After:     cl.after,
-			Job:       cl.jobID,
 			Key:       cl.key,
 			Error:     cl.errMsg,
 			Collapsed: cl.collapsed,
 		}
-		if cl.state == cellQueued && cl.jobID != "" {
-			s.mu.Lock()
-			j := s.jobs[cl.jobID]
-			s.mu.Unlock()
-			if j != nil && j.stateNow() == StateRunning {
+		if cl.job != nil {
+			cv.Job = cl.job.ID
+			if cl.state == cellQueued && cl.job.stateNow() == StateRunning {
 				cv.State = string(StateRunning)
 			}
 		}
 		v.Cells = append(v.Cells, cv)
 	}
 	return v
+}
+
+// campaignViews snapshots every campaign in creation order, for GET
+// /campaigns and the /metrics campaign series.
+func (s *Server) campaignViews() []CampaignView {
+	s.campMu.Lock()
+	camps := make([]*campaign, 0, len(s.campOrder))
+	for _, id := range s.campOrder {
+		camps = append(camps, s.campaigns[id])
+	}
+	s.campMu.Unlock()
+	views := make([]CampaignView, 0, len(camps))
+	for _, camp := range camps {
+		views = append(views, camp.view())
+	}
+	return views
 }
 
 func (s *Server) lookupCampaign(w http.ResponseWriter, r *http.Request) *campaign {
@@ -670,22 +639,12 @@ func (s *Server) lookupCampaign(w http.ResponseWriter, r *http.Request) *campaig
 }
 
 func (s *Server) handleCampaignList(w http.ResponseWriter, r *http.Request) {
-	s.campMu.Lock()
-	ids := append([]string(nil), s.campOrder...)
-	s.campMu.Unlock()
-	views := make([]CampaignView, 0, len(ids))
-	for _, id := range ids {
-		s.campMu.Lock()
-		camp := s.campaigns[id]
-		s.campMu.Unlock()
-		views = append(views, s.campaignView(camp))
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"campaigns": views})
+	writeJSON(w, http.StatusOK, map[string]any{"campaigns": s.campaignViews()})
 }
 
 func (s *Server) handleCampaignGet(w http.ResponseWriter, r *http.Request) {
 	if camp := s.lookupCampaign(w, r); camp != nil {
-		writeJSON(w, http.StatusOK, s.campaignView(camp))
+		writeJSON(w, http.StatusOK, camp.view())
 	}
 }
 
@@ -703,81 +662,43 @@ func (s *Server) handleCampaignEvents(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCampaignCancel stops a campaign: pending cells skip, launched
-// cells' jobs are aborted (their watchers settle them), and the
-// campaign finalizes as cancelled once everything lands.
+// handleCampaignCancel stops a campaign: pending cells skip, the jobs
+// the campaign launched are aborted (their watchers settle those
+// cells), cells collapsed onto another submitter's job detach as
+// skipped while that job runs on, and the campaign finalizes as
+// cancelled once everything lands.
 func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
 	camp := s.lookupCampaign(w, r)
 	if camp == nil {
 		return
 	}
 	camp.mu.Lock()
-	if camp.state != campaignRunning {
-		camp.mu.Unlock()
-		writeJSON(w, http.StatusOK, s.campaignView(camp))
-		return
-	}
-	camp.cancelled = true
-	camp.halted = true
-	s.skipPendingLocked(camp, "cancelled by client")
-	var jobs []*Job
-	for _, id := range camp.order {
-		cl := camp.cells[id]
-		if cl.state == cellQueued && cl.jobID != "" {
-			s.mu.Lock()
-			j := s.jobs[cl.jobID]
-			s.mu.Unlock()
-			if j != nil {
-				jobs = append(jobs, j)
+	var launched []*Job
+	if camp.state == campaignRunning {
+		camp.cancelled = true
+		camp.halted = true
+		s.skipPendingLocked(camp, "cancelled by client")
+		for _, id := range camp.order {
+			cl := camp.cells[id]
+			if cl.state != cellQueued || cl.job == nil {
+				continue // settled, or mid-launch: its watcher settles it
+			}
+			if cl.job.campaign == camp.ID {
+				launched = append(launched, cl.job)
+			} else {
+				s.settleLocked(camp, cl, cellSkipped, "cancelled by client")
 			}
 		}
 	}
 	terminal := camp.checkTerminalLocked()
 	camp.mu.Unlock()
-	for _, j := range jobs {
+	for _, j := range launched {
 		s.cancelJob(j, "campaign cancelled")
 	}
 	if terminal {
 		s.finalizeCampaign(camp)
 	}
-	writeJSON(w, http.StatusOK, s.campaignView(camp))
-}
-
-// campaignStat feeds the /metrics exposition.
-type campaignStat struct {
-	ID        string
-	State     string
-	Total     int
-	Done      int
-	Failed    int
-	Skipped   int
-	Collapsed int
-}
-
-// campaignStats snapshots every campaign in creation order.
-func (s *Server) campaignStats() []campaignStat {
-	s.campMu.Lock()
-	ids := append([]string(nil), s.campOrder...)
-	camps := make([]*campaign, 0, len(ids))
-	for _, id := range ids {
-		camps = append(camps, s.campaigns[id])
-	}
-	s.campMu.Unlock()
-	out := make([]campaignStat, 0, len(camps))
-	for _, camp := range camps {
-		camp.mu.Lock()
-		out = append(out, campaignStat{
-			ID:        camp.ID,
-			State:     camp.state,
-			Total:     len(camp.order),
-			Done:      camp.done,
-			Failed:    camp.failed,
-			Skipped:   camp.skipped,
-			Collapsed: camp.collapsed,
-		})
-		camp.mu.Unlock()
-	}
-	return out
+	writeJSON(w, http.StatusOK, camp.view())
 }
 
 // --- journal rebuild -------------------------------------------------
@@ -807,36 +728,29 @@ func (s *Server) rebuildCampaigns(campRecs, cellRecs []store.Record) {
 // rebuildCampaign restores one campaign: recompile the journaled spec,
 // apply recorded cell outcomes, reattach live cells to requeued jobs
 // or the result cache, re-derive skips, and resume launching. The
-// campaign is registered only once fully built, so no locking is
-// needed while assembling it.
+// campaign is installed only once fully built, so no locking is needed
+// while assembling it.
 func (s *Server) rebuildCampaign(r store.Record, cellRecs []store.Record) {
-	install := func(camp *campaign) {
-		s.campMu.Lock()
-		s.campaigns[camp.ID] = camp
-		s.campOrder = append(s.campOrder, camp.ID)
-		s.campMu.Unlock()
-	}
-
 	var cs CampaignSpec
-	var cc *compiledCampaign
+	var camp *campaign
 	err := json.Unmarshal(r.Spec, &cs)
 	if err == nil {
-		cc, err = compileCampaign(cs)
+		camp, err = compileCampaign(cs)
 	}
 	if err != nil {
 		// Unreplayable DAG: restore a terminal stub so the id and the
 		// failure stay visible instead of silently vanishing.
-		camp := &campaign{ID: r.Job, broker: newBroker(), tenant: r.Tenant, policy: PolicyContinue,
+		camp := &campaign{ID: r.Job, broker: newBroker(), spec: CampaignSpec{Policy: PolicyContinue}, tenant: r.Tenant,
 			state: campaignFailed, created: time.Now(), cells: map[string]*campCell{}}
 		fmt.Fprintf(camp.broker, "unreplayable campaign spec: %v\n", err)
 		camp.broker.close()
-		install(camp)
+		s.installCampaign(camp)
 		return
 	}
+	camp.ID, camp.tenant = r.Job, r.Tenant
 
-	camp := buildCampaign(r.Job, cc, r.Tenant)
-
-	// Recorded cell outcomes first.
+	// Recorded cell outcomes first: fields only, no new journal records
+	// or rollup lines.
 	for _, cr := range cellRecs {
 		cell := camp.cells[cr.Cell]
 		if cell == nil || cell.state != cellPending {
@@ -844,24 +758,9 @@ func (s *Server) rebuildCampaign(r store.Record, cellRecs []store.Record) {
 		}
 		switch cr.State {
 		case cellDone:
-			cell.state = cellDone
-			cell.key = cr.Key
-			cell.collapsed = cr.Cached
-			camp.done++
-			if cr.Cached {
-				camp.collapsed++
-			}
-			for _, d := range cell.dependents {
-				camp.cells[d].remaining--
-			}
-		case cellFailed:
-			cell.state = cellFailed
-			cell.errMsg = cr.Error
-			camp.failed++
-		case cellSkipped:
-			cell.state = cellSkipped
-			cell.errMsg = cr.Error
-			camp.skipped++
+			cell.state, cell.collapsed = cellDone, cr.Cached
+		case cellFailed, cellSkipped:
+			cell.state, cell.errMsg = cr.State, cr.Error
 		}
 	}
 
@@ -871,12 +770,12 @@ func (s *Server) rebuildCampaign(r store.Record, cellRecs []store.Record) {
 		camp.cancelled = r.State == campaignCancelled
 		camp.finished = camp.created
 		camp.broker.close()
-		install(camp)
+		s.installCampaign(camp)
 		return
 	}
 
 	// Re-derive policy consequences (skip records may predate a crash).
-	if camp.policy == PolicyHalt && camp.failed > 0 {
+	if camp.spec.Policy == PolicyHalt && camp.countsLocked().failed > 0 {
 		camp.halted = true
 	}
 	s.skipUnreachableLocked(camp)
@@ -884,53 +783,32 @@ func (s *Server) rebuildCampaign(r store.Record, cellRecs []store.Record) {
 		s.skipPendingLocked(camp, "halted: a cell failed before restart")
 	}
 
-	// Reattach in-flight cells: a requeued job (by cache key) keeps the
-	// cell queued; a cached result settles it as collapsed; otherwise
-	// the cell waits for launchReady.
-	type watch struct {
-		cellID string
-		j      *Job
-	}
-	var watches []watch
+	// Reattach in-flight cells: a requeued job with the cell's key keeps
+	// the cell queued; a cached result settles a ready cell as collapsed;
+	// otherwise the cell waits for launchReady.
+	var watches []*campCell
 	for _, id := range camp.order {
 		cell := camp.cells[id]
 		if cell.state != cellPending {
 			continue
 		}
-		c, err := compile(cell.spec)
-		if err != nil {
-			continue // launchReady settles it as unlaunchable
-		}
-		key, err := c.cacheKey()
-		if err != nil {
-			continue
-		}
-		if j, ok := s.inflight[key]; ok {
+		if j, ok := s.inflight[cell.key]; ok {
 			cell.state = cellQueued
-			cell.key = key
-			cell.jobID = j.ID
-			watches = append(watches, watch{cellID: id, j: j})
+			cell.job = j
+			watches = append(watches, cell)
 			continue
 		}
-		if cell.remaining == 0 && !camp.halted {
-			if _, ok := s.cacheGet(key); ok {
-				cell.state = cellDone
-				cell.key = key
+		if camp.readyLocked(cell) {
+			if _, ok := s.cacheGet(cell.key); ok {
 				cell.collapsed = true
-				camp.done++
-				camp.collapsed++
-				for _, d := range cell.dependents {
-					camp.cells[d].remaining--
-				}
-				s.journalCellLocked(camp, cell)
-				camp.rollupLocked(cell)
+				s.settleLocked(camp, cell, cellDone, "")
 			}
 		}
 	}
 	terminal := camp.checkTerminalLocked()
-	install(camp)
-	for _, wt := range watches {
-		go s.watchCell(camp, wt.cellID, wt.j)
+	s.installCampaign(camp)
+	for _, cell := range watches {
+		go s.watchCell(camp, cell, cell.job)
 	}
 	if terminal {
 		s.finalizeCampaign(camp)

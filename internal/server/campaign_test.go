@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -434,5 +435,236 @@ func TestCampaignRestartSkipsDoneCells(t *testing.T) {
 	}
 	if b.RunsTotal() != 0 {
 		t.Fatalf("restart re-ran %d jobs, want 0", b.RunsTotal())
+	}
+}
+
+// journaledCampaign fabricates a running campaign's journal record
+// (plus any cell records) under id, as a crashed slipd leaves them.
+func journaledCampaign(t *testing.T, dir, id string, spec CampaignSpec, cells ...store.Record) {
+	t.Helper()
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []store.Record{{Job: id, Campaign: id, State: campaignRunning, Spec: specJSON, Tenant: DefaultTenant}}
+	for _, cr := range cells {
+		cr.Job = id + "/" + cr.Cell
+		cr.Campaign = id
+		recs = append(recs, cr)
+	}
+	fabricateJournal(t, dir, recs...)
+}
+
+func runCell(id string, nodes int, after ...string) CampaignCellSpec {
+	return CampaignCellSpec{ID: id, After: after, Spec: JobSpec{Kind: KindRun, Kernel: "CG", Nodes: nodes}}
+}
+
+// TestCampaignReplayHaltSkipsPending: a halt campaign whose journal
+// holds one failed cell restarts with every pending cell skipped, settles
+// failed, and runs nothing.
+func TestCampaignReplayHaltSkipsPending(t *testing.T) {
+	dir := t.TempDir()
+	journaledCampaign(t, dir, "campaign-1",
+		CampaignSpec{Policy: PolicyHalt, Cells: []CampaignCellSpec{runCell("a", 5), runCell("b", 6), runCell("c", 7, "b")}},
+		store.Record{Cell: "a", State: cellFailed, Error: "injected"},
+	)
+	s, ts := openDurable(t, durableCfg(dir))
+	defer shutdown(t, s)
+	final := awaitCampaign(t, ts, "campaign-1")
+	if final.State != campaignFailed || final.FailedCells != 1 || final.SkippedCells != 2 || final.DoneCells != 0 {
+		t.Fatalf("replayed campaign = %+v", final)
+	}
+	if a := cellState(t, final, "a"); a.State != cellFailed || a.Error != "injected" {
+		t.Fatalf("cell a = %+v, want the journaled failure", a)
+	}
+	for _, id := range []string{"b", "c"} {
+		if c := cellState(t, final, id); c.State != cellSkipped || c.Error != "halted: a cell failed before restart" {
+			t.Fatalf("cell %s = %+v, want halted skip", id, c)
+		}
+	}
+	if n := s.RunsTotal(); n != 0 {
+		t.Fatalf("replay ran %d jobs, want 0", n)
+	}
+}
+
+// TestCampaignReplayContinueSkipsDependents: a continue campaign whose
+// journal holds one failed cell skips only that cell's dependents after
+// the restart and runs the independent cell.
+func TestCampaignReplayContinueSkipsDependents(t *testing.T) {
+	dir := t.TempDir()
+	journaledCampaign(t, dir, "campaign-1",
+		CampaignSpec{Cells: []CampaignCellSpec{runCell("a", 5), runCell("b", 6), runCell("c", 7, "a"), runCell("d", 8, "c")}},
+		store.Record{Cell: "a", State: cellFailed, Error: "injected"},
+	)
+	s, ts := openDurable(t, durableCfg(dir))
+	defer shutdown(t, s)
+	final := awaitCampaign(t, ts, "campaign-1")
+	if final.State != campaignFailed || final.DoneCells != 1 || final.FailedCells != 1 || final.SkippedCells != 2 {
+		t.Fatalf("replayed campaign = %+v", final)
+	}
+	if b := cellState(t, final, "b"); b.State != cellDone || b.Job == "" {
+		t.Fatalf("independent cell b = %+v, want done", b)
+	}
+	if c := cellState(t, final, "c"); c.State != cellSkipped || c.Error != `skipped: dependency "a" did not complete` {
+		t.Fatalf("cell c = %+v, want dependency skip", c)
+	}
+	if d := cellState(t, final, "d"); d.State != cellSkipped || d.Error != `skipped: dependency "c" did not complete` {
+		t.Fatalf("cell d = %+v, want transitive dependency skip", d)
+	}
+	if n := s.RunsTotal(); n != 1 {
+		t.Fatalf("replay ran %d jobs, want 1 (cell b)", n)
+	}
+}
+
+// TestCampaignReplayDoneCellReleasesDependent: a cell journaled done
+// (collapsed) counts toward the rollup after the restart and releases
+// its dependent, which runs.
+func TestCampaignReplayDoneCellReleasesDependent(t *testing.T) {
+	dir := t.TempDir()
+	c, err := compile(runCell("a", 5).Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyA, err := c.cacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaledCampaign(t, dir, "campaign-1",
+		CampaignSpec{Cells: []CampaignCellSpec{runCell("a", 5), runCell("b", 6, "a")}},
+		store.Record{Cell: "a", State: cellDone, Key: keyA, Cached: true},
+	)
+	s, ts := openDurable(t, durableCfg(dir))
+	defer shutdown(t, s)
+	final := awaitCampaign(t, ts, "campaign-1")
+	if final.State != campaignDone || final.DoneCells != 2 || final.CollapsedCells != 1 || final.CacheCollapseRatio != 0.5 {
+		t.Fatalf("replayed campaign = %+v", final)
+	}
+	if a := cellState(t, final, "a"); a.State != cellDone || !a.Collapsed || a.Key != keyA {
+		t.Fatalf("cell a = %+v, want the journaled collapsed done", a)
+	}
+	if b := cellState(t, final, "b"); b.State != cellDone || b.Collapsed {
+		t.Fatalf("cell b = %+v, want a fresh done run", b)
+	}
+	if n := s.RunsTotal(); n != 1 {
+		t.Fatalf("replay ran %d jobs, want 1 (cell b)", n)
+	}
+	metrics, _ := getBody(t, ts.URL+"/metrics")
+	for _, line := range []string{
+		`slipd_campaign_cells_total{outcome="done"} 2`,
+		`slipd_campaign_cells_total{outcome="collapsed"} 1`,
+		`slipd_campaign_cache_collapse_ratio{campaign="campaign-1"} 0.5000`,
+	} {
+		if !strings.Contains(metrics, line) {
+			t.Errorf("metrics missing %q", line)
+		}
+	}
+}
+
+// TestCampaignReplayUnreplayableSpec: a journaled campaign whose spec no
+// longer compiles restores as a failed stub under its id, and new
+// campaign ids move past it.
+func TestCampaignReplayUnreplayableSpec(t *testing.T) {
+	dir := t.TempDir()
+	fabricateJournal(t, dir, store.Record{Job: "campaign-7", Campaign: "campaign-7", State: campaignRunning,
+		Spec: json.RawMessage(`{"cells":[]}`), Tenant: DefaultTenant})
+	s, ts := openDurable(t, durableCfg(dir))
+	defer shutdown(t, s)
+	v := getCampaign(t, ts, "campaign-7")
+	if v.State != campaignFailed || v.TotalCells != 0 || v.Tenant != DefaultTenant {
+		t.Fatalf("stub = %+v, want a failed campaign with no cells", v)
+	}
+	stream, code := getBody(t, ts.URL+"/campaigns/campaign-7/events")
+	if code != http.StatusOK || !strings.Contains(stream, "unreplayable campaign spec: campaign requires at least one cell") ||
+		!strings.HasSuffix(stream, "event: state\ndata: failed\n\n") {
+		t.Fatalf("stub events = %d:\n%s", code, stream)
+	}
+	resp, next := postCampaign(t, ts, "", fmt.Sprintf(`{"cells":[%s]}`, campCellBody("solo", 7)))
+	if resp.StatusCode != http.StatusCreated || next.ID != "campaign-8" {
+		t.Fatalf("next campaign = %d %s, want campaign-8", resp.StatusCode, next.ID)
+	}
+}
+
+// TestCampaignHaltSSEExactRollups pins the rollup stream of a halt
+// campaign whose first cell fails: the skip the failure causes comes
+// before the failed cell's own line, and every count is exact.
+func TestCampaignHaltSSEExactRollups(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	var campID atomic.Value
+	haltGate(t, s, &campID)
+
+	body := fmt.Sprintf(`{"policy":"halt","cells":[%s,%s,%s]}`,
+		campCellBody("a", 5), campCellBody("b", 6), campCellBody("c", 7, "b"))
+	resp, v := postCampaign(t, ts, "", body)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST = %d", resp.StatusCode)
+	}
+	campID.Store(v.ID)
+	awaitCampaign(t, ts, v.ID)
+
+	stream, code := getBody(t, ts.URL+"/campaigns/"+v.ID+"/events")
+	if code != http.StatusOK {
+		t.Fatalf("events = %d", code)
+	}
+	var want strings.Builder
+	for _, line := range []string{
+		"campaign created: 3 cells, policy halt",
+		"cell c skipped (0/3 done, 1 failed, 1 skipped, 0 collapsed)",
+		"cell a failed (0/3 done, 1 failed, 1 skipped, 0 collapsed)",
+		"cell b done (1/3 done, 1 failed, 1 skipped, 0 collapsed)",
+		"campaign failed",
+	} {
+		fmt.Fprintf(&want, "event: progress\ndata: %s\n\n", line)
+	}
+	want.WriteString("event: state\ndata: failed\n\n")
+	if stream != want.String() {
+		t.Fatalf("SSE stream:\n%s\nwant:\n%s", stream, want.String())
+	}
+}
+
+// TestCampaignCancelSparesCollapsedJob: a campaign cell that collapsed
+// onto another tenant's queued job detaches as skipped when the campaign
+// is cancelled; the other tenant's job keeps running and finishes done.
+func TestCampaignCancelSparesCollapsedJob(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, Tenants: []TenantConfig{
+		{Name: "a", Key: "sk-a"},
+		{Name: "b", Key: "sk-b"},
+	}})
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release()
+	s.testBeforeRun = func(*Job) { <-gate }
+
+	// Plug the worker so tenant a's job stays queued.
+	submitAs(t, ts, "sk-a", specWithNodes(2, ""))
+	resp, mine := submitAs(t, ts, "sk-a", specWithNodes(5, ""))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("tenant a submit = %d", resp.StatusCode)
+	}
+	cresp, v := postCampaign(t, ts, "sk-b", fmt.Sprintf(`{"cells":[%s]}`, campCellBody("x", 5)))
+	if cresp.StatusCode != http.StatusCreated {
+		t.Fatalf("tenant b campaign = %d", cresp.StatusCode)
+	}
+	if x := cellState(t, v, "x"); x.Job != mine.Job.ID {
+		t.Fatalf("cell x = %+v, want it collapsed onto %s", x, mine.Job.ID)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/campaigns/"+v.ID, nil)
+	req.Header.Set("X-API-Key", "sk-b")
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	release()
+
+	if jv := await(t, s, mine.Job.ID).snapshot(); jv.State != StateDone {
+		t.Fatalf("tenant a's job = %s (%s), want done", jv.State, jv.Error)
+	}
+	final := awaitCampaign(t, ts, v.ID)
+	if final.State != campaignCancelled {
+		t.Fatalf("campaign state = %s, want cancelled", final.State)
+	}
+	if x := cellState(t, final, "x"); x.State != cellSkipped || x.Error != "cancelled by client" {
+		t.Fatalf("cell x = %+v, want skipped by the cancel", x)
 	}
 }

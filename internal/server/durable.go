@@ -108,20 +108,17 @@ func (s *Server) noteJobID(id string) {
 	}
 }
 
-// rehydrateDone restores a completed job, pulling its bytes from the
-// result store. A done record whose bytes are gone (store wiped, partial
-// copy) degrades to a requeue — determinism makes the re-run produce the
-// same result the record promised.
+// rehydrateDone restores a completed job, pulling its bytes through the
+// tiered cache, so done jobs that share a key cost one store read and
+// share one slice. A done record whose bytes are gone (store wiped,
+// partial copy) degrades to a requeue — determinism makes the re-run
+// produce the same result the record promised.
 func (s *Server) rehydrateDone(r store.Record) {
-	bytes, ok, err := s.store.Get(r.Key)
-	if err != nil {
-		s.metrics.journalError()
-	}
+	bytes, ok := s.cacheGet(r.Key)
 	if !ok {
 		s.requeue(r)
 		return
 	}
-	s.cache.Put(r.Key, bytes)
 	s.restoreTerminal(r, StateDone, "", bytes)
 }
 

@@ -386,3 +386,46 @@ func TestCachedSubmissionEventsTerminate(t *testing.T) {
 		t.Fatalf("cached job events missing terminal state:\n%s", body)
 	}
 }
+
+// TestRestartReadsSharedResultOnce: done jobs journaled under one key
+// rehydrate from a single result-store read and share one result slice.
+func TestRestartReadsSharedResultOnce(t *testing.T) {
+	dir := t.TempDir()
+	a, ats := openDurable(t, durableCfg(dir))
+	sr, _ := submit(t, ats, runSpecBody)
+	key := await(t, a, sr.Job.ID).Key
+	// The worker drops a settled job from the single-flight index only
+	// after journaling it; until then a resubmission dedups onto it.
+	for {
+		a.mu.Lock()
+		_, busy := a.inflight[key]
+		a.mu.Unlock()
+		if !busy {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ids := []string{sr.Job.ID}
+	for len(ids) < 50 {
+		sr, code := submit(t, ats, runSpecBody)
+		if code != http.StatusCreated || !sr.Cached {
+			t.Fatalf("resubmit = %d cached=%v, want a cache hit", code, sr.Cached)
+		}
+		ids = append(ids, sr.Job.ID)
+	}
+	shutdown(t, a)
+
+	b, _ := openDurable(t, durableCfg(dir))
+	defer shutdown(t, b)
+	if hits, _ := b.store.Stats(); hits != 1 {
+		t.Fatalf("restart read the result store %d times, want 1", hits)
+	}
+	b.mu.Lock()
+	first, last := b.jobs[ids[0]], b.jobs[ids[len(ids)-1]]
+	b.mu.Unlock()
+	r0, ok0 := first.resultBytes()
+	r1, ok1 := last.resultBytes()
+	if !ok0 || !ok1 || len(r0) == 0 || &r0[0] != &r1[0] {
+		t.Fatalf("restored jobs do not share one result slice (done %v/%v, %d bytes)", ok0, ok1, len(r0))
+	}
+}

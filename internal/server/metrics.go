@@ -188,7 +188,7 @@ type durabilityStats struct {
 
 // write renders the exposition. Series are emitted in sorted order so the
 // output is deterministic and diffable.
-func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durabilityStats, cluster *ClusterStats, tenants []tenantStat, campaigns []campaignStat) {
+func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durabilityStats, cluster *ClusterStats, tenants []tenantStat, campaigns []CampaignView) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -342,10 +342,10 @@ func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durab
 		var cellsDone, cellsFailed, cellsSkipped, cellsCollapsed int
 		for _, c := range campaigns {
 			byState[c.State]++
-			cellsDone += c.Done
-			cellsFailed += c.Failed
-			cellsSkipped += c.Skipped
-			cellsCollapsed += c.Collapsed
+			cellsDone += c.DoneCells
+			cellsFailed += c.FailedCells
+			cellsSkipped += c.SkippedCells
+			cellsCollapsed += c.CollapsedCells
 		}
 		fmt.Fprintln(w, "# HELP slipd_campaigns Campaigns by state.")
 		fmt.Fprintln(w, "# TYPE slipd_campaigns gauge")
@@ -361,11 +361,7 @@ func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durab
 		fmt.Fprintln(w, "# HELP slipd_campaign_cache_collapse_ratio Fraction of a campaign's cells served without a fresh run.")
 		fmt.Fprintln(w, "# TYPE slipd_campaign_cache_collapse_ratio gauge")
 		for _, c := range campaigns {
-			ratio := 0.0
-			if c.Total > 0 {
-				ratio = float64(c.Collapsed) / float64(c.Total)
-			}
-			fmt.Fprintf(w, "slipd_campaign_cache_collapse_ratio{campaign=%q} %.4f\n", c.ID, ratio)
+			fmt.Fprintf(w, "slipd_campaign_cache_collapse_ratio{campaign=%q} %.4f\n", c.ID, c.CacheCollapseRatio)
 		}
 	}
 

@@ -472,7 +472,7 @@ func (s *Server) cancelJob(j *Job, reason string) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, s.sched.depth(), s.cache.Stats(), s.durabilityStats(), s.clusterStats(), s.sched.stats(), s.campaignStats())
+	s.metrics.write(w, s.sched.depth(), s.cache.Stats(), s.durabilityStats(), s.clusterStats(), s.sched.stats(), s.campaignViews())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
