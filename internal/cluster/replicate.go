@@ -93,11 +93,12 @@ func (co *Coordinator) replicateLoop(p *peerLink) {
 }
 
 // replicateBodies splits a snapshot into consecutive ReplicateBatch
-// bodies that each fit the receiver's bounds: at most maxBatchRecs
-// records and maxResultLen bytes. Merge applies records one at a time,
-// so a split snapshot converges exactly as a whole one does. An empty
-// snapshot is still one (empty) body: the push doubles as the peer's
-// reachability probe.
+// bodies of at most maxBatchRecs records and maxWireLen bytes, so each
+// post crosses within its 2×SyncInterval timeout; a record larger than
+// maxWireLen travels alone, within the receiver's maxResultLen bound.
+// Merge applies records one at a time, so a split snapshot converges
+// exactly as a whole one does. An empty snapshot is still one (empty)
+// body: the push doubles as the peer's reachability probe.
 func replicateBodies(recs []ClaimRecord) ([][]byte, error) {
 	const head, tail = `{"records":[`, `]}`
 	var bodies [][]byte
@@ -107,7 +108,7 @@ func replicateBodies(recs []ClaimRecord) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n > 0 && (n == maxBatchRecs || len(body)+1+len(b)+len(tail) > maxResultLen) {
+		if n > 0 && (n == maxBatchRecs || len(body)+1+len(b)+len(tail) > maxWireLen) {
 			bodies = append(bodies, append(body, tail...))
 			body, n = []byte(head), 0
 		}

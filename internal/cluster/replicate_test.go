@@ -72,9 +72,10 @@ func TestReplicationSplitsLargeSnapshots(t *testing.T) {
 			defer peer.Close()
 			peerSrv := httptest.NewServer(peer.Handler())
 			defer peerSrv.Close()
-			// A post may take twice the sync interval: a 16 MiB batch needs
-			// seconds under the race detector.
-			co := NewCoordinator(Config{SyncInterval: 5 * time.Second, Peers: []string{peerSrv.URL}})
+			// A post may take twice the sync interval; batches of at most
+			// maxWireLen bytes cross well within that under the race
+			// detector.
+			co := NewCoordinator(Config{SyncInterval: time.Second, Peers: []string{peerSrv.URL}})
 			defer co.Close()
 
 			recs := make([]ClaimRecord, tc.entries)
@@ -106,5 +107,38 @@ func TestReplicationSplitsLargeSnapshots(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplicateBodiesFitWireBound: batches split at maxWireLen bytes, so
+// every post is small enough to cross within its timeout, while a record
+// larger than that travels alone in one body the receiver still accepts.
+func TestReplicateBodiesFitWireBound(t *testing.T) {
+	rec := func(i, size int) ClaimRecord {
+		return ClaimRecord{Key: fmt.Sprintf("%064x", i), Label: "run/CG", Spec: json.RawMessage(runSpecBody),
+			State: ClaimDone, Attempt: 1, Result: bytes.Repeat([]byte{'a'}, size)}
+	}
+	recs := []ClaimRecord{rec(0, 300<<10), rec(1, 300<<10), rec(2, 3<<20), rec(3, 300<<10)}
+	for i := 4; i < 20; i++ {
+		recs = append(recs, rec(i, 300<<10))
+	}
+	bodies, err := replicateBodies(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for i, body := range bodies {
+		b, err := DecodeReplicateBatch(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("body %d refused by the receiver: %v", i, err)
+		}
+		total += len(b.Records)
+		big := len(b.Records) == 1 && len(b.Records[0].Result) == 3<<20
+		if len(body) > maxWireLen && !big {
+			t.Fatalf("body %d is %d bytes with %d records, want at most %d", i, len(body), len(b.Records), maxWireLen)
+		}
+	}
+	if total != len(recs) {
+		t.Fatalf("bodies carry %d records, want %d", total, len(recs))
 	}
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -35,6 +37,19 @@ func TestRunScalingSmoke(t *testing.T) {
 func TestRunScalingUnknownKernel(t *testing.T) {
 	if _, err := RunScaling("NOPE", []int{2}, npb.ScaleTest, 1, false, nil); err == nil {
 		t.Fatal("unknown kernel accepted")
+	}
+}
+
+// TestRunScalingInvalidNodeCountIsCellError: a node count the machine
+// refuses fails its own cells instead of crashing the process.
+func TestRunScalingInvalidNodeCountIsCellError(t *testing.T) {
+	rows, err := RunScalingCtx(context.Background(), "CG", []int{2, 65}, npb.ScaleTest, 1, false, nil)
+	var ce CellError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Config, "65-nodes") || !strings.Contains(err.Error(), "node count 65 out of range") {
+		t.Fatalf("err = %v, want a CellError for the 65-node cells", err)
+	}
+	if len(rows) != 2 || len(rows[0].Walls) != len(scalingConfigs) || len(rows[1].Walls) != 0 {
+		t.Fatalf("rows = %+v, want the 2-node row complete and the 65-node row empty", rows)
 	}
 }
 

@@ -128,8 +128,12 @@ type loopState struct {
 	end  *shmem.I64
 }
 
-// New builds a machine and runtime for cfg.
+// New builds a machine and runtime for cfg. An invalid machine is an
+// error, not a panic in machine.New.
 func New(cfg Config) (*Runtime, error) {
+	if err := cfg.Machine.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Mode == core.ModeSlipstream {
 		cfg.Machine.TrackClass = true
 	}

@@ -2,6 +2,7 @@ package omp
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -28,6 +29,16 @@ func run(t *testing.T, c Config, program func(*Thread)) *Runtime {
 		t.Fatal(err)
 	}
 	return rt
+}
+
+// TestNewRefusesInvalidMachine: a node count outside the machine's range
+// comes back as an error instead of a panic.
+func TestNewRefusesInvalidMachine(t *testing.T) {
+	for _, nodes := range []int{0, 65} {
+		if _, err := New(cfg(core.ModeSingle, nodes)); err == nil || !strings.Contains(err.Error(), "node count") {
+			t.Errorf("New with %d nodes: err = %v, want the machine's node-count error", nodes, err)
+		}
+	}
 }
 
 func TestTeamSizes(t *testing.T) {

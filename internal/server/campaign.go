@@ -360,34 +360,21 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // launchReady submits every launchable cell (see readyLocked). Safe to
-// call from any goroutine; the pending→queued transition under camp.mu
-// makes launches single-shot.
+// call from any goroutine. Each cell registers while camp.mu is held, so
+// a cancel or halt sees every cell either pending or launched.
 func (s *Server) launchReady(camp *campaign) {
-	for {
-		camp.mu.Lock()
-		var cell *campCell
-		if camp.state == campaignRunning {
-			for _, id := range camp.order {
-				if cl := camp.cells[id]; camp.readyLocked(cl) {
-					cell = cl
-					break
-				}
-			}
+	camp.mu.Lock()
+	defer camp.mu.Unlock()
+	if camp.state != campaignRunning {
+		return
+	}
+	for _, id := range camp.order {
+		cell := camp.cells[id]
+		if !camp.readyLocked(cell) {
+			continue
 		}
-		if cell == nil {
-			camp.mu.Unlock()
-			return
-		}
-		cell.state = cellQueued // claimed; reverted on transient refusal
-		camp.mu.Unlock()
-
 		j, out, err := s.register(cell.c, cell.key, submission{tenant: camp.tenant, priority: cell.c.priority, campaign: camp.ID, cell: cell.id})
-		camp.mu.Lock()
 		if err != nil {
-			if cell.state == cellQueued {
-				cell.state = cellPending
-			}
-			camp.mu.Unlock()
 			if errors.Is(err, ErrQueueFull) {
 				// Global pressure: the cells are already admitted, they
 				// just wait for room.
@@ -396,9 +383,9 @@ func (s *Server) launchReady(camp *campaign) {
 			// Draining: the journaled campaign resumes on the next start.
 			return
 		}
+		cell.state = cellQueued
 		cell.job = j
 		cell.collapsed = out.Cached || out.Dedup
-		camp.mu.Unlock()
 		go s.watchCell(camp, cell, j)
 	}
 }
@@ -680,8 +667,8 @@ func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
 		s.skipPendingLocked(camp, "cancelled by client")
 		for _, id := range camp.order {
 			cl := camp.cells[id]
-			if cl.state != cellQueued || cl.job == nil {
-				continue // settled, or mid-launch: its watcher settles it
+			if cl.state != cellQueued {
+				continue
 			}
 			if cl.job.campaign == camp.ID {
 				launched = append(launched, cl.job)

@@ -668,3 +668,81 @@ func TestCampaignCancelSparesCollapsedJob(t *testing.T) {
 		t.Fatalf("cell x = %+v, want skipped by the cancel", x)
 	}
 }
+
+// TestCampaignCancelQueuedCellFreesSpec: cancelling a campaign whose
+// cell is still queued takes that cell's job out of single-flight, so a
+// later submission of the same spec runs instead of inheriting the
+// campaign's cancellation.
+func TestCampaignCancelQueuedCellFreesSpec(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release()
+	s.testBeforeRun = func(*Job) { <-gate }
+
+	// Plug the worker so the campaign's cell stays queued.
+	submitAs(t, ts, "", specWithNodes(2, ""))
+	resp, v := postCampaign(t, ts, "", fmt.Sprintf(`{"cells":[%s]}`, campCellBody("a", 5)))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST = %d", resp.StatusCode)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/campaigns/"+v.ID, nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	if final := awaitCampaign(t, ts, v.ID); final.State != campaignCancelled {
+		t.Fatalf("campaign = %s, want cancelled", final.State)
+	}
+	release()
+
+	_, sr := submitAs(t, ts, "", specWithNodes(5, ""))
+	if jv := await(t, s, sr.Job.ID).snapshot(); jv.State != StateDone {
+		t.Fatalf("later submission of the cell's spec = %s (%s), want done", jv.State, jv.Error)
+	}
+}
+
+// TestCampaignCancelWhileLaunchRefused: a campaign cancelled while its
+// ready cell is being refused by a full queue settles cancelled with the
+// cell skipped; the refused launch never strands it running.
+func TestCampaignCancelWhileLaunchRefused(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release()
+	s.testBeforeRun = func(*Job) { <-gate }
+
+	// One job holds the worker, one fills the queue: the cell's launch
+	// is refused until the gate opens.
+	submitAs(t, ts, "", specWithNodes(2, ""))
+	waitQueued := time.Now().Add(10 * time.Second)
+	for s.sched.depth() != 0 && time.Now().Before(waitQueued) {
+		time.Sleep(time.Millisecond)
+	}
+	submitAs(t, ts, "", specWithNodes(3, ""))
+	resp, v := postCampaign(t, ts, "", fmt.Sprintf(`{"cells":[%s]}`, campCellBody("x", 5)))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST = %d", resp.StatusCode)
+	}
+	if x := cellState(t, v, "x"); x.State != cellPending {
+		t.Fatalf("cell x = %+v, want pending behind the full queue", x)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/campaigns/"+v.ID, nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	release()
+
+	final := awaitCampaign(t, ts, v.ID)
+	if final.State != campaignCancelled {
+		t.Fatalf("campaign = %s, want cancelled", final.State)
+	}
+	if x := cellState(t, final, "x"); x.State != cellSkipped || x.Job != "" {
+		t.Fatalf("cell x = %+v, want skipped without a job", x)
+	}
+}

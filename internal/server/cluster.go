@@ -68,15 +68,15 @@ type Cluster interface {
 // executeOrDispatch is the seam runJob calls: without a cluster backend
 // it executes in-process; with one it dispatches, falling back to local
 // execution when no worker is available.
-func (s *Server) executeOrDispatch(ctx context.Context, c *compiledSpec, j *Job) ([]byte, error) {
+func (s *Server) executeOrDispatch(ctx context.Context, j *Job) ([]byte, error) {
 	if s.cfg.Cluster == nil {
-		return s.executeGuarded(ctx, c, j)
+		return s.executeGuarded(ctx, j)
 	}
-	result, err := s.cfg.Cluster.Dispatch(ctx, j.Key, c.label(), j.tenant, j.priority, c.spec, j.broker)
+	result, err := s.cfg.Cluster.Dispatch(ctx, j.Key, j.c.label(), j.tenant, j.priority, j.c.spec, j.broker)
 	if errors.Is(err, ErrNoWorkers) {
 		s.metrics.localFallback()
 		fmt.Fprintf(j.broker, "cluster: no visible workers; executing locally in degraded mode\n")
-		return s.executeGuarded(ctx, c, j)
+		return s.executeGuarded(ctx, j)
 	}
 	return result, err
 }

@@ -17,19 +17,15 @@ import (
 // disk-backed content-addressed store before the in-memory LRU sees it.
 // On startup the journal is replayed: terminal jobs are rehydrated (done
 // jobs pick their bytes back up from the result store), and jobs that
-// were queued or running when the process died are requeued under a
-// bounded retry budget with exponential backoff. This is sound for the
-// same reason the result cache is sound — every simulation is
-// deterministic and side-effect-free, so at-least-once re-execution is
-// idempotent and equal cache keys always name equal bytes.
+// were queued or running when the process died are requeued at once
+// under a bounded retry budget. This is sound for the same reason the
+// result cache is sound — every simulation is deterministic and
+// side-effect-free, so at-least-once re-execution is idempotent and
+// equal cache keys always name equal bytes.
 
 // journalStateCancelled marks a client cancellation in the journal; it
 // folds back to StateFailed on replay (the job never ran to completion).
 const journalStateCancelled = "cancelled"
-
-// maxRequeueBackoff caps the exponential backoff between crash-recovery
-// requeues.
-const maxRequeueBackoff = 30 * time.Second
 
 // Open builds a Server, replaying the journal under cfg.DataDir when one
 // is configured, and starts its workers. New is the in-memory
@@ -122,35 +118,32 @@ func (s *Server) rehydrateDone(r store.Record) {
 	s.restoreTerminal(r, StateDone, "", bytes)
 }
 
+// recordSubmission is the admission identity a journal record carries.
+func recordSubmission(r store.Record) submission {
+	return submission{tenant: r.Tenant, priority: PriorityValue(r.Priority), campaign: r.Campaign, cell: r.Cell}
+}
+
 // restoreTerminal registers a journaled job already in a terminal state.
 func (s *Server) restoreTerminal(r store.Record, st State, errMsg string, result []byte) {
 	var spec JobSpec
 	if len(r.Spec) > 0 {
 		json.Unmarshal(r.Spec, &spec) // best-effort: the view shows what survived
 	}
-	j := newJob(r.Job, r.Key, spec, st)
-	j.restored = true
-	j.tenant = r.Tenant
-	j.priority = PriorityValue(r.Priority)
-	j.campaign = r.Campaign
-	j.cell = r.Cell
+	j := newJob(r.Job, r.Key, &compiledSpec{spec: spec}, st, recordSubmission(r))
+	j.restored, j.cached, j.result, j.errMsg = true, r.Cached, result, errMsg
 	if r.Attempts > 0 {
 		j.attempts = r.Attempts
 	}
-	j.cached = r.Cached
-	j.result = result
-	j.errMsg = errMsg
-	close(j.done)
-	j.broker.close()
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	s.metrics.jobRestored(st, false)
+	s.addJobLocked(j)
+	s.metrics.jobRestored(false)
 }
 
 // requeue puts a crash-interrupted job back on the queue, charging its
 // retry budget. Budget exhaustion and unreplayable specs settle the job
 // as permanently failed — journaled, so the next restart doesn't retry
-// it again.
+// it again. Replay runs before the workers start, so the job needs no
+// delay: MaxAttempts already bounds a job that keeps killing the
+// process.
 func (s *Server) requeue(r store.Record) {
 	attempts := r.Attempts
 	if attempts < 1 {
@@ -185,51 +178,13 @@ func (s *Server) requeue(r store.Record) {
 		return
 	}
 
-	j := newJob(r.Job, key, c.spec, StateQueued)
-	j.restored = true
-	j.attempts = next
-	j.tenant = r.Tenant
-	j.priority = c.priority
-	j.campaign = r.Campaign
-	j.cell = r.Cell
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	s.inflight[key] = j
-	s.metrics.jobRestored(StateQueued, true)
-	s.journalAppend(store.Record{Job: j.ID, Key: key, State: string(StateQueued), Attempts: next, Spec: specJSON(c.spec), Tenant: r.Tenant, Priority: PriorityName(c.priority), Campaign: r.Campaign, Cell: r.Cell}, false)
-
-	// Exponential backoff between requeues: the first retry waits one
-	// base delay, each further attempt doubles it.
-	delay := s.cfg.RetryBackoff << (next - 2)
-	if delay > maxRequeueBackoff || delay <= 0 {
-		delay = maxRequeueBackoff
-	}
-	go s.enqueueAfter(j, delay)
-}
-
-// enqueueAfter hands a requeued job to the workers after its backoff
-// delay. A shutdown (or a client cancel) during the wait abandons the
-// hand-off; the job's journaled queued record makes the *next* start
-// requeue it instead.
-func (s *Server) enqueueAfter(j *Job, delay time.Duration) {
-	if delay > 0 {
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-s.quit:
-			return
-		case <-j.done:
-			return
-		}
-	}
-	select {
-	case <-s.quit:
-		return
-	case <-j.done:
-		return
-	default:
-	}
+	sub := recordSubmission(r)
+	sub.priority = c.priority
+	j := newJob(r.Job, key, c, StateQueued, sub)
+	j.restored, j.attempts = true, next
+	s.addJobLocked(j)
+	s.metrics.jobRestored(true)
+	s.journalAppend(j.firstRecord(), false)
 	// Unconditional: journaled work must never be dropped by admission
 	// limits — the budget that bounds it is MaxAttempts.
 	s.sched.force(j)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,10 +15,9 @@ import (
 	"repro/internal/store"
 )
 
-// durableCfg returns a config rooted at dir with a tiny retry backoff so
-// recovery tests finish fast.
+// durableCfg returns a one-worker config rooted at dir.
 func durableCfg(dir string) Config {
-	return Config{Workers: 1, DataDir: dir, RetryBackoff: time.Millisecond}
+	return Config{Workers: 1, DataDir: dir}
 }
 
 func openDurable(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -393,18 +393,7 @@ func TestRestartReadsSharedResultOnce(t *testing.T) {
 	dir := t.TempDir()
 	a, ats := openDurable(t, durableCfg(dir))
 	sr, _ := submit(t, ats, runSpecBody)
-	key := await(t, a, sr.Job.ID).Key
-	// The worker drops a settled job from the single-flight index only
-	// after journaling it; until then a resubmission dedups onto it.
-	for {
-		a.mu.Lock()
-		_, busy := a.inflight[key]
-		a.mu.Unlock()
-		if !busy {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	await(t, a, sr.Job.ID)
 	ids := []string{sr.Job.ID}
 	for len(ids) < 50 {
 		sr, code := submit(t, ats, runSpecBody)
@@ -427,5 +416,75 @@ func TestRestartReadsSharedResultOnce(t *testing.T) {
 	r1, ok1 := last.resultBytes()
 	if !ok0 || !ok1 || len(r0) == 0 || &r0[0] != &r1[0] {
 		t.Fatalf("restored jobs do not share one result slice (done %v/%v, %d bytes)", ok0, ok1, len(r0))
+	}
+}
+
+// TestCancelQueuedJobSettlesEverywhere: a job cancelled while queued
+// leaves single-flight, the state gauges, its event stream and the
+// journal settled, so a resubmission runs fresh and a restart keeps the
+// cancellation instead of running the job.
+func TestCancelQueuedJobSettlesEverywhere(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := openDurable(t, durableCfg(dir))
+	release := make(chan struct{})
+	s.testBeforeRun = func(*Job) { <-release }
+
+	// A holds the only worker, so B waits in the queue.
+	srA, _ := submit(t, ts, runSpecBody)
+	const specB = `{"kind":"run","kernel":"MG","nodes":4}`
+	srB, _ := submit(t, ts, specB)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+srB.Job.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	close(release)
+	await(t, s, srA.Job.ID)
+
+	sr, code := submit(t, ts, specB)
+	if code != http.StatusCreated || sr.Dedup || sr.Job.ID == srB.Job.ID {
+		t.Errorf("resubmission = %d dedup=%v id=%s, want a fresh 201 job", code, sr.Dedup, sr.Job.ID)
+	}
+	if v := await(t, s, sr.Job.ID).snapshot(); v.State != StateDone {
+		t.Errorf("resubmitted job = %s (%s), want done", v.State, v.Error)
+	}
+	metrics, _ := getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{`slipd_jobs{state="queued"} 0`, `slipd_jobs{state="failed"} 1`} {
+		if !strings.Contains(metrics, want+"\n") {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	if body := eventsBody(t, ts, srB.Job.ID); !strings.HasSuffix(body, "data: failed\n\n") {
+		t.Errorf("cancelled job's event stream = %q, want it to end with the failed state", body)
+	}
+	shutdown(t, s)
+
+	b, _ := openDurable(t, durableCfg(dir))
+	defer shutdown(t, b)
+	b.mu.Lock()
+	jB := b.jobs[srB.Job.ID]
+	b.mu.Unlock()
+	if v := jB.snapshot(); v.State != StateFailed || v.Error != "cancelled by client" {
+		t.Errorf("cancelled job after restart = %s (%s), want failed by the cancel", v.State, v.Error)
+	}
+	if _, requeued := b.RecoveryStats(); requeued != 0 || b.RunsTotal() != 0 {
+		t.Errorf("restart requeued %d jobs and ran %d, want 0 and 0", requeued, b.RunsTotal())
+	}
+}
+
+// TestResubmitOnDoneIsCacheHit: a job leaves single-flight before its
+// done channel closes, so a resubmission made the moment a job is done
+// is answered from the cache, never coalesced onto the finished job.
+func TestResubmitOnDoneIsCacheHit(t *testing.T) {
+	s, ts := openDurable(t, durableCfg(t.TempDir()))
+	defer shutdown(t, s)
+	for nodes := 2; nodes <= 5; nodes++ {
+		spec := fmt.Sprintf(`{"kind":"run","kernel":"CG","nodes":%d}`, nodes)
+		sr, _ := submit(t, ts, spec)
+		await(t, s, sr.Job.ID)
+		if again, code := submit(t, ts, spec); code != http.StatusCreated || !again.Cached {
+			t.Errorf("nodes %d: resubmission = %d cached=%v dedup=%v, want a 201 cache hit", nodes, code, again.Cached, again.Dedup)
+		}
 	}
 }

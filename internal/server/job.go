@@ -4,11 +4,13 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"repro/internal/store"
 )
 
 // State is a job's lifecycle position. queued → running → done|failed;
 // a queued job cancelled before a worker picks it up goes straight to
-// failed.
+// failed, and a cache hit is born done.
 type State string
 
 // Job states.
@@ -27,21 +29,26 @@ type Job struct {
 	ID  string
 	Key string // cache key (sha256 hex)
 
-	// Admission identity, immutable after registration: the tenant the
-	// job queues under, its priority class, and — for campaign cells —
-	// the campaign and cell it executes.
+	// Admission identity, fixed before the job is registered: the tenant
+	// the job queues under, its priority class, and — for campaign cells
+	// — the campaign and cell it executes.
 	tenant   string
 	priority int
 	campaign string
 	cell     string
 
+	// Also fixed at registration: the compiled spec the job runs (a
+	// restored terminal job holds only its decoded spec), how many times
+	// it was handed to the queue, whether a cache hit answered it, and
+	// whether the journal replay restored it.
+	c        *compiledSpec
+	attempts int
+	cached   bool
+	restored bool
+
 	mu       sync.Mutex
-	spec     JobSpec // normalized
 	state    State
 	errMsg   string
-	cached   bool // result served from cache without a run
-	attempts int  // times handed to the queue (1 on first submission)
-	restored bool // rehydrated from the journal at startup
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -52,17 +59,37 @@ type Job struct {
 	done   chan struct{}
 }
 
-func newJob(id, key string, spec JobSpec, state State) *Job {
-	return &Job{
+// newJob builds a job with its admission identity. A job born terminal
+// (a cache hit, or a journaled outcome) never runs, so its done channel
+// and event stream end at once.
+func newJob(id, key string, c *compiledSpec, state State, sub submission) *Job {
+	j := &Job{
 		ID:       id,
 		Key:      key,
-		spec:     spec,
-		state:    state,
+		tenant:   sub.tenant,
+		priority: sub.priority,
+		campaign: sub.campaign,
+		cell:     sub.cell,
+		c:        c,
 		attempts: 1,
+		state:    state,
 		created:  time.Now(),
 		broker:   newBroker(),
 		done:     make(chan struct{}),
 	}
+	if state != StateQueued {
+		close(j.done)
+		j.broker.close()
+	}
+	return j
+}
+
+// firstRecord is the journal record that introduces the job: its state
+// at registration, identity and spec. Later records carry transitions
+// only. Build it before a worker can see the job.
+func (j *Job) firstRecord() store.Record {
+	return store.Record{Job: j.ID, Key: j.Key, State: string(j.state), Attempts: j.attempts, Cached: j.cached,
+		Spec: specJSON(j.c.spec), Tenant: j.tenant, Priority: PriorityName(j.priority), Campaign: j.campaign, Cell: j.cell}
 }
 
 // snapshot returns a consistent copy of the mutable state.
@@ -78,7 +105,7 @@ func (j *Job) snapshot() JobView {
 		Attempts: j.attempts,
 		Restored: j.restored,
 		Created:  j.created,
-		Spec:     j.spec,
+		Spec:     j.c.spec,
 		Tenant:   j.tenant,
 		Campaign: j.campaign,
 		Cell:     j.cell,
@@ -95,8 +122,7 @@ func (j *Job) snapshot() JobView {
 }
 
 // tryStart moves queued → running and installs the cancel hook; it
-// refuses if the job left the queued state (e.g. cancelled while
-// waiting).
+// refuses if the job left the queued state (cancelled while waiting).
 func (j *Job) tryStart(cancel context.CancelFunc) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -109,14 +135,15 @@ func (j *Job) tryStart(cancel context.CancelFunc) bool {
 	return true
 }
 
-// finish moves the job to a terminal state. It is a no-op if the job
-// already terminated (a cancelled queued job may race its worker).
-func (j *Job) finish(result []byte, errMsg string) bool {
+// finish settles the job: done with result when errMsg is empty, failed
+// otherwise.
+func (j *Job) finish(result []byte, errMsg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state == StateDone || j.state == StateFailed {
-		return false
-	}
+	j.finishLocked(result, errMsg)
+}
+
+func (j *Job) finishLocked(result []byte, errMsg string) {
 	if errMsg == "" {
 		j.state = StateDone
 		j.result = result
@@ -127,31 +154,22 @@ func (j *Job) finish(result []byte, errMsg string) bool {
 	j.finished = time.Now()
 	j.cancel = nil
 	close(j.done)
-	return true
 }
 
-// abort cancels the job: queued jobs fail immediately, running jobs get
-// their context cancelled (the runner aborts remaining cells and the
-// worker then fails the job). Terminal jobs are left alone.
-func (j *Job) abort(reason string) (State, bool) {
+// abort cancels the job and reports whether that ended it: a queued job
+// fails at once; a running job has its context cancelled and is settled
+// by its worker. Terminal jobs are left alone.
+func (j *Job) abort(reason string) bool {
 	j.mu.Lock()
-	if j.state == StateQueued {
-		j.state = StateFailed
-		j.errMsg = reason
-		j.finished = time.Now()
-		close(j.done)
-		j.mu.Unlock()
-		return StateFailed, true
+	defer j.mu.Unlock()
+	switch j.state {
+	case StateQueued:
+		j.finishLocked(nil, reason)
+		return true
+	case StateRunning:
+		j.cancel()
 	}
-	if j.state == StateRunning && j.cancel != nil {
-		cancel := j.cancel
-		j.mu.Unlock()
-		cancel()
-		return StateRunning, true
-	}
-	st := j.state
-	j.mu.Unlock()
-	return st, false
+	return false
 }
 
 // stateNow reads the current state.

@@ -11,9 +11,10 @@ import (
 
 // Live metrics in the Prometheus text exposition format, hand-rolled so
 // the repository stays dependency-free. Everything is exported under the
-// slipd_ prefix: job state gauges, queue depth, run counters, cache
-// counters/ratio, and per-label host-side run latency histograms (the
-// label is the kernel for single runs and the suite kind otherwise).
+// slipd_ prefix: job state gauges (counted from the job table at scrape
+// time), queue depth, run counters, cache counters/ratio, and per-label
+// host-side run latency histograms (the label is the kernel for single
+// runs and the suite kind otherwise).
 
 // latencyBuckets are the histogram upper bounds in seconds. Simulated
 // kernels at test scale finish in milliseconds; paper-scale suites take
@@ -39,7 +40,6 @@ func (h *histogram) observe(v float64) {
 type metrics struct {
 	mu sync.Mutex
 
-	jobsByState map[State]int
 	submitted   uint64 // POST /jobs accepted
 	deduped     uint64 // submissions coalesced onto an in-flight job
 	runs        uint64 // underlying simulation executions started
@@ -57,23 +57,14 @@ type metrics struct {
 }
 
 func newMetrics() *metrics {
-	return &metrics{jobsByState: map[State]int{}, latency: map[string]*histogram{}}
+	return &metrics{latency: map[string]*histogram{}}
 }
 
-// jobCreated records a new job entering the given state.
-func (m *metrics) jobCreated(st State) {
+// jobSubmitted records a submission that registered a new job.
+func (m *metrics) jobSubmitted() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.submitted++
-	m.jobsByState[st]++
-}
-
-// jobTransition moves one job between state gauges.
-func (m *metrics) jobTransition(from, to State) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.jobsByState[from]--
-	m.jobsByState[to]++
 }
 
 // dedupHit records a submission answered by an already in-flight job.
@@ -118,13 +109,12 @@ func (m *metrics) timedOut() {
 	m.timeouts++
 }
 
-// jobRestored bumps only the state gauge for a job rehydrated at startup
-// (unlike jobCreated it leaves the submission counter alone: the job was
-// counted by the process that first accepted it).
-func (m *metrics) jobRestored(st State, requeue bool) {
+// jobRestored records a job rehydrated at startup, requeued or terminal
+// (unlike jobSubmitted: the job was counted by the process that first
+// accepted it).
+func (m *metrics) jobRestored(requeue bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.jobsByState[st]++
 	if requeue {
 		m.requeued++
 	} else {
@@ -188,7 +178,7 @@ type durabilityStats struct {
 
 // write renders the exposition. Series are emitted in sorted order so the
 // output is deterministic and diffable.
-func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durabilityStats, cluster *ClusterStats, tenants []tenantStat, campaigns []CampaignView) {
+func (m *metrics) write(w io.Writer, jobs map[State]int, queueDepth int, cache CacheStats, dur durabilityStats, cluster *ClusterStats, tenants []tenantStat, campaigns []CampaignView) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -278,7 +268,7 @@ func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durab
 	fmt.Fprintln(w, "# HELP slipd_jobs Jobs currently in each state.")
 	fmt.Fprintln(w, "# TYPE slipd_jobs gauge")
 	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed} {
-		fmt.Fprintf(w, "slipd_jobs{state=%q} %d\n", st, m.jobsByState[st])
+		fmt.Fprintf(w, "slipd_jobs{state=%q} %d\n", st, jobs[st])
 	}
 
 	fmt.Fprintln(w, "# HELP slipd_queue_depth Jobs waiting for a worker.")

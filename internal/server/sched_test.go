@@ -15,10 +15,7 @@ func schedFor(t *testing.T, cfg Config) (*scheduler, *time.Time) {
 }
 
 func schedJob(id, tenant string, priority int) *Job {
-	j := newJob(id, "key-"+id, JobSpec{Kind: KindRun}, StateQueued)
-	j.tenant = tenant
-	j.priority = priority
-	return j
+	return newJob(id, "key-"+id, &compiledSpec{spec: JobSpec{Kind: KindRun}}, StateQueued, submission{tenant: tenant, priority: priority})
 }
 
 // mustPop pops without blocking (the tests enqueue before popping).

@@ -42,9 +42,6 @@ type Config struct {
 	// attempt count would exceed this, then permanently failed
 	// (default 3).
 	MaxAttempts int
-	// RetryBackoff is the base delay before re-running a crash-recovered
-	// job; it doubles per attempt (default 250ms, capped at 30s).
-	RetryBackoff time.Duration
 	// Cluster, when non-nil, turns this server into a fleet coordinator:
 	// job execution is dispatched through the backend (which hands jobs
 	// to workers and recovers them from failed ones) and only falls back
@@ -70,9 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 250 * time.Millisecond
 	}
 	return c
 }
@@ -318,8 +312,8 @@ type submission struct {
 // dedup against in-flight work, answer from the cache, or queue.
 func (s *Server) register(c *compiledSpec, key string, sub submission) (*Job, SubmitOutcome, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
 		return nil, SubmitOutcome{}, ErrDraining
 	}
 
@@ -328,7 +322,6 @@ func (s *Server) register(c *compiledSpec, key string, sub submission) (*Job, Su
 	// identical submissions costs one run, not one run plus misses.
 	if j, ok := s.inflight[key]; ok {
 		s.metrics.dedupHit()
-		s.mu.Unlock()
 		// A higher-priority identical submission lifts the queued job
 		// out of the bulk class instead of waiting behind it.
 		s.sched.promote(j, sub.priority)
@@ -336,60 +329,48 @@ func (s *Server) register(c *compiledSpec, key string, sub submission) (*Job, Su
 	}
 
 	// Content-addressed cache: determinism means an equal key is an equal
-	// result, so a hit materializes a done job without running anything.
-	// The lookup is tiered — memory LRU, then the disk result store.
+	// result, so a hit is a job born done that never runs. The lookup is
+	// tiered — memory LRU, then the disk result store.
+	s.nextID++
+	id := fmt.Sprintf("job-%d", s.nextID)
 	if result, ok := s.cacheGet(key); ok {
-		j := s.newJobLocked(key, c.spec, StateDone, sub)
-		j.cached = true
-		j.attempts = 0 // never handed to the queue
-		j.result = result
-		close(j.done)
-		// The job never runs, so nothing else will close its broker; do it
-		// here or GET /jobs/{id}/events would stream forever without a
-		// terminal event.
-		j.broker.close()
-		s.metrics.jobCreated(StateDone)
+		j := newJob(id, key, c, StateDone, sub)
+		j.cached, j.attempts, j.result = true, 0, result
+		s.addJobLocked(j)
+		s.metrics.jobSubmitted()
 		// No fsync: losing this record costs a job-listing entry, not a
 		// result — the bytes are already durable under the key.
-		s.journalAppend(store.Record{Job: j.ID, Key: key, State: string(StateDone), Cached: true, Spec: specJSON(c.spec), Tenant: sub.tenant, Priority: PriorityName(sub.priority), Campaign: sub.campaign, Cell: sub.cell}, false)
-		s.mu.Unlock()
+		s.journalAppend(j.firstRecord(), false)
 		return j, SubmitOutcome{Cached: true}, nil
 	}
 
-	j := s.newJobLocked(key, c.spec, StateQueued, sub)
+	j := newJob(id, key, c, StateQueued, sub)
+	rec := j.firstRecord() // before a worker can start the job
+	s.addJobLocked(j)
 	if err := s.sched.submit(j, sub.charge); err != nil {
 		// Refused admission: roll the registration back and shed load.
 		delete(s.jobs, j.ID)
 		delete(s.inflight, key)
 		s.order = s.order[:len(s.order)-1]
-		s.mu.Unlock()
 		if errors.Is(err, ErrQueueFull) {
 			s.metrics.requestShed()
 		}
 		return nil, SubmitOutcome{}, err
 	}
-	s.metrics.jobCreated(StateQueued)
-	s.journalAppend(store.Record{Job: j.ID, Key: key, State: string(StateQueued), Attempts: 1, Spec: specJSON(c.spec), Tenant: sub.tenant, Priority: PriorityName(sub.priority), Campaign: sub.campaign, Cell: sub.cell}, false)
-	s.mu.Unlock()
+	s.metrics.jobSubmitted()
+	s.journalAppend(rec, false)
 	return j, SubmitOutcome{}, nil
 }
 
-// newJobLocked registers a job under the next ID. Caller holds s.mu.
-// Queued jobs also enter the in-flight index so identical submissions
-// coalesce onto them.
-func (s *Server) newJobLocked(key string, spec JobSpec, st State, sub submission) *Job {
-	s.nextID++
-	j := newJob(fmt.Sprintf("job-%d", s.nextID), key, spec, st)
-	j.tenant = sub.tenant
-	j.priority = sub.priority
-	j.campaign = sub.campaign
-	j.cell = sub.cell
+// addJobLocked registers a job in the job table; a queued job also
+// enters the single-flight index so identical submissions coalesce onto
+// it. Caller holds s.mu.
+func (s *Server) addJobLocked(j *Job) {
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
-	if st == StateQueued {
-		s.inflight[key] = j
+	if j.state == StateQueued {
+		s.inflight[j.Key] = j
 	}
-	return j
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -456,23 +437,35 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // cancelJob aborts a job (shared by DELETE /jobs/{id} and campaign
-// cancellation). A job cancelled while still queued settles
-// immediately: gauges, single-flight, its scheduler slot, and the
-// journal don't wait for a worker to skip it.
+// cancellation). The job leaves single-flight at once, so a resubmission
+// starts fresh instead of inheriting the cancel. A job cancelled while
+// still queued settles here: its scheduler slot frees, the cancel is
+// journaled and its event stream ends; a running job is settled by its
+// worker.
 func (s *Server) cancelJob(j *Job, reason string) {
-	was, ok := j.abort(reason)
-	if was == StateQueued && ok {
-		s.sched.remove(j) // free the tenant's backlog slot now
-		s.metrics.jobTransition(StateQueued, StateFailed)
-		s.clearInflight(j)
-		j.broker.close()
+	s.clearInflight(j)
+	if j.abort(reason) {
+		s.sched.remove(j)
 		s.journalAppend(store.Record{Job: j.ID, Key: j.Key, State: journalStateCancelled, Error: reason}, true)
+		j.broker.close()
 	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, s.sched.depth(), s.cache.Stats(), s.durabilityStats(), s.clusterStats(), s.sched.stats(), s.campaignViews())
+	s.metrics.write(w, s.jobStates(), s.sched.depth(), s.cache.Stats(), s.durabilityStats(), s.clusterStats(), s.sched.stats(), s.campaignViews())
+}
+
+// jobStates counts the job table by state for the slipd_jobs gauges. It
+// takes s.mu, then each job's mutex, as handleList does.
+func (s *Server) jobStates() map[State]int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := map[State]int{}
+	for _, j := range s.jobs {
+		n[j.stateNow()]++
+	}
+	return n
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -511,65 +504,54 @@ func (s *Server) runJob(j *Job) {
 	ctx, cancel := context.WithCancel(s.runCtx)
 	defer cancel()
 	if !j.tryStart(cancel) {
-		return // cancelled while queued; handleCancel settled it
+		return // cancelled while queued; cancelJob settled it
 	}
-	s.metrics.jobTransition(StateQueued, StateRunning)
 	s.metrics.runStarted()
-
-	j.mu.Lock()
-	spec := j.spec
-	attempts := j.attempts
-	j.mu.Unlock()
-	if attempts > 1 {
+	if j.attempts > 1 {
 		s.metrics.retried()
 	}
-	s.journalAppend(store.Record{Job: j.ID, Key: j.Key, State: string(StateRunning), Attempts: attempts}, false)
-	c, err := compile(spec)
+	s.journalAppend(store.Record{Job: j.ID, Key: j.Key, State: string(StateRunning), Attempts: j.attempts}, false)
 
-	var result []byte
 	start := time.Now()
-	if err == nil {
-		execCtx := ctx
-		if s.cfg.JobTimeout > 0 {
-			var tcancel context.CancelFunc
-			execCtx, tcancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
-			defer tcancel()
-		}
-		result, err = s.executeOrDispatch(execCtx, c, j)
-		// A blown per-job deadline — not a shutdown or client cancel on
-		// the parent context — settles the job as a timeout.
-		if err != nil && execCtx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
-			s.metrics.timedOut()
-			err = fmt.Errorf("job exceeded timeout %s: %v", s.cfg.JobTimeout, err)
-		}
+	execCtx := ctx
+	if s.cfg.JobTimeout > 0 {
+		var tcancel context.CancelFunc
+		execCtx, tcancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
+		defer tcancel()
+	}
+	result, err := s.executeOrDispatch(execCtx, j)
+	// A blown per-job deadline — not a shutdown or client cancel on the
+	// parent context — settles the job as a timeout.
+	if err != nil && execCtx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
+		s.metrics.timedOut()
+		err = fmt.Errorf("job exceeded timeout %s: %v", s.cfg.JobTimeout, err)
 	}
 	// Count the run before settling the job, so a client that sees it
 	// settle also finds it in /metrics.
-	if c != nil {
-		s.metrics.observeLatency(c.label(), time.Since(start))
-	}
+	s.metrics.observeLatency(j.c.label(), time.Since(start))
 
+	// Settle order: the bytes reach the result store before the done
+	// record, so a done record always has its result on disk (the reverse
+	// gap only costs a re-run); the job leaves single-flight before done
+	// closes, so a resubmission made once the job is done never
+	// coalesces onto it; the event stream ends last, after the terminal
+	// state is readable.
+	rec := store.Record{Job: j.ID, Key: j.Key, State: string(StateDone), Attempts: j.attempts}
 	if err == nil {
-		// Order matters across a crash: persist the bytes, then journal
-		// the terminal state (fsync'd). A done record therefore always
-		// has its result on disk; the reverse gap only costs a re-run.
 		s.cachePut(j.Key, result)
-		s.metrics.jobTransition(StateRunning, StateDone)
-		j.finish(result, "")
-		s.journalAppend(store.Record{Job: j.ID, Key: j.Key, State: string(StateDone), Attempts: attempts}, true)
 	} else {
-		s.metrics.jobTransition(StateRunning, StateFailed)
-		j.finish(nil, err.Error())
-		s.journalAppend(store.Record{Job: j.ID, Key: j.Key, State: string(StateFailed), Error: err.Error(), Attempts: attempts}, true)
+		rec.State, rec.Error = string(StateFailed), err.Error()
 	}
 	s.clearInflight(j)
+	j.finish(result, rec.Error)
+	s.journalAppend(rec, true)
 	j.broker.close()
 }
 
-// executeGuarded runs a compiled spec under the worker's panic guard: a
-// panicking kernel fails its own job instead of killing the worker (and
-// with it a share of the daemon's capacity).
-func (s *Server) executeGuarded(ctx context.Context, c *compiledSpec, j *Job) (result []byte, err error) {
+// executeGuarded runs a job's compiled spec under the worker's panic
+// guard: a panicking kernel fails its own job instead of killing the
+// worker (and with it a share of the daemon's capacity).
+func (s *Server) executeGuarded(ctx context.Context, j *Job) (result []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.panicked()
@@ -579,11 +561,11 @@ func (s *Server) executeGuarded(ctx context.Context, c *compiledSpec, j *Job) (r
 	if s.testDuringRun != nil {
 		s.testDuringRun(j)
 	}
-	return s.execute(ctx, c, j.broker)
+	return s.execute(ctx, j.c, j.broker)
 }
 
-// clearInflight removes a settled job from the single-flight index (only
-// if it still owns its key — a later identical submission may have
+// clearInflight removes a settling job from the single-flight index
+// (only if it still owns its key — a later identical submission may have
 // re-registered it).
 func (s *Server) clearInflight(j *Job) {
 	s.mu.Lock()

@@ -1,16 +1,20 @@
 // Command smoke is the end-to-end check behind `make smoke`. Phase one
-// starts a memory-only slipd, submits a CG scaling job over HTTP,
-// asserts the rendered speedup table comes back with a 200, cancels a
-// running suite job with DELETE and asserts it settles as failed, then
-// sends SIGTERM and asserts the daemon drains and exits 0. Phase two is
-// the crash-recovery drill: a persistent slipd is SIGKILLed mid-job,
-// restarted on the same -data-dir, and must requeue the interrupted job
-// (producing byte-identical output to an uninterrupted run), serve the
-// already-done job from disk without re-executing it, and — after a
-// clean SIGTERM — restart with zero requeues.
+// starts a memory-only one-worker slipd, submits a CG scaling job over
+// HTTP, asserts the rendered speedup table comes back with a 200,
+// cancels a job queued behind a running suite job and requires a
+// resubmission of its spec to run as a fresh job, cancels the running
+// suite job and asserts it settles as failed, requires the queued gauge
+// to read 0 once the queue drains, then sends SIGTERM and asserts the
+// daemon drains and exits 0. Phase two is the crash-recovery drill: a
+// persistent slipd is SIGKILLed mid-job, restarted on the same
+// -data-dir, and must requeue the interrupted job (producing
+// byte-identical output to an uninterrupted run), serve the already-done
+// job from disk without re-executing it, and — after a clean SIGTERM —
+// restart with zero requeues.
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
@@ -21,10 +25,12 @@ import (
 )
 
 // fastSpec finishes in seconds; slowSpec runs long enough that a signal
-// reliably lands while it is still executing.
+// reliably lands while it is still executing; queuedSpec waits behind
+// slowSpec on a one-worker daemon.
 const (
-	fastSpec = `{"kind":"scaling","kernel":"CG","node_counts":[2,4],"scale":"test"}`
-	slowSpec = `{"kind":"static","kernels":["CG"],"nodes":8,"scale":"small"}`
+	fastSpec   = `{"kind":"scaling","kernel":"CG","node_counts":[2,4],"scale":"test"}`
+	slowSpec   = `{"kind":"static","kernels":["CG"],"nodes":8,"scale":"small"}`
+	queuedSpec = `{"kind":"run","kernel":"MG","nodes":4}`
 )
 
 func main() {
@@ -44,7 +50,7 @@ func main() {
 }
 
 func run(bin string) error {
-	cmd, base, err := drill.Start(bin, "-no-persist")
+	cmd, base, err := drill.Start(bin, "-no-persist", "-workers", "1")
 	if err != nil {
 		return err
 	}
@@ -88,27 +94,39 @@ func run(bin string) error {
 
 	// Cancellation: DELETE a running job and assert it settles as failed
 	// without wedging the worker or the later drain. A small-scale suite
-	// is slow enough to still be running when the DELETE lands.
-	id, _, _, err = drill.Submit(base, "", slowSpec)
+	// is slow enough to still be running when the DELETE lands, and it
+	// holds the only worker, so a job submitted meanwhile stays queued.
+	slowID, _, _, err := drill.Submit(base, "", slowSpec)
 	if err != nil {
 		return err
 	}
-	if err := drill.WaitState(base, id, "running", 30*time.Second); err != nil {
+	if err := drill.WaitState(base, slowID, "running", 30*time.Second); err != nil {
 		return err
 	}
-	req, err := http.NewRequest(http.MethodDelete, base+"/jobs/"+id, nil)
+	queuedID, _, _, err := drill.Submit(base, "", queuedSpec)
 	if err != nil {
 		return err
 	}
-	dresp, err := http.DefaultClient.Do(req)
+	if v, err := cancelJob(base, queuedID); err != nil {
+		return err
+	} else if v.State != "failed" || !strings.Contains(v.Error, "cancel") {
+		return fmt.Errorf("cancelled queued job is %q (error %q), want failed/cancelled", v.State, v.Error)
+	}
+	// The cancelled job left single-flight: the same spec is a new job
+	// (drill.Submit requires 201, not a 200 dedup onto the cancelled one).
+	freshID, _, _, err := drill.Submit(base, "", queuedSpec)
 	if err != nil {
+		return fmt.Errorf("resubmitting a cancelled queued job's spec: %w", err)
+	}
+	if freshID == queuedID {
+		return fmt.Errorf("resubmission coalesced onto cancelled job %s", queuedID)
+	}
+	fmt.Fprintln(os.Stderr, "smoke: cancelled queued job; its spec resubmits as a fresh job")
+
+	if _, err := cancelJob(base, slowID); err != nil {
 		return err
 	}
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusOK {
-		return fmt.Errorf("DELETE running job = %d, want 200", dresp.StatusCode)
-	}
-	v, err := drill.WaitTerminal(base, id, 2*time.Minute)
+	v, err := drill.WaitTerminal(base, slowID, 2*time.Minute)
 	if err != nil {
 		return err
 	}
@@ -117,7 +135,37 @@ func run(bin string) error {
 	}
 	fmt.Fprintln(os.Stderr, "smoke: cancelled running job settled as failed")
 
+	if err := drill.WaitDone(base, freshID, 2*time.Minute); err != nil {
+		return fmt.Errorf("resubmitted job: %w", err)
+	}
+	metrics, _, err = drill.Get(base + "/metrics")
+	if err != nil {
+		return err
+	}
+	if !strings.Contains(metrics, `slipd_jobs{state="queued"} 0`+"\n") {
+		return fmt.Errorf("queue drained but metrics do not show slipd_jobs{state=\"queued\"} 0:\n%s", metrics)
+	}
+	fmt.Fprintln(os.Stderr, "smoke: resubmitted job done, queued gauge back to 0")
+
 	return drill.StopGracefully(cmd)
+}
+
+// cancelJob DELETEs a job and returns the view the daemon answers with.
+func cancelJob(base, id string) (drill.JobView, error) {
+	req, err := http.NewRequest(http.MethodDelete, base+"/jobs/"+id, nil)
+	if err != nil {
+		return drill.JobView{}, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return drill.JobView{}, err
+	}
+	defer resp.Body.Close()
+	var v drill.JobView
+	if resp.StatusCode != http.StatusOK {
+		return v, fmt.Errorf("DELETE /jobs/%s = %d, want 200", id, resp.StatusCode)
+	}
+	return v, json.NewDecoder(resp.Body).Decode(&v)
 }
 
 // crashRecovery is the durability drill: SIGKILL a persistent slipd
