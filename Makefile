@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short vet fmt-check race verify golden bench bench-check smoke smoke-fleet smoke-ha smoke-overload fuzz sim-cluster sim-cluster-deep
+.PHONY: build test test-short vet fmt-check race verify golden golden-paper bench bench-check smoke smoke-fleet smoke-ha smoke-overload fuzz sim-cluster sim-cluster-deep
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,15 @@ golden:
 	(bin/slipsim -experiment fig2 -scale test -nodes 4 -q && bin/slipsim -experiment fig3 -scale test -nodes 4 -q) | cmp - $(GOLDEN)/static.txt
 	(bin/slipsim -experiment fig4 -scale test -nodes 4 -q && bin/slipsim -experiment fig5 -scale test -nodes 4 -q) | cmp - $(GOLDEN)/dynamic.txt
 	bin/slipsim -kernel CG -scale test -nodes 4 | grep -v -e '^result norm:' -e '^protocol:' | cmp - $(GOLDEN)/run.txt
+
+# Paper-scale golden gate: slipsim's whole experiment set at 16 CMPs must
+# print the committed experiment_results.txt byte for byte. The goldens
+# above run 4 CMPs, and a spin-ordering slip may only show with 16
+# spinners. About 90 s on 2 CPUs.
+golden-paper:
+	mkdir -p bin
+	$(GO) build -o bin/slipsim ./cmd/slipsim
+	bin/slipsim -experiment all -q | cmp - experiment_results.txt
 
 # Benchmark baselines are committed as BENCH_PR$(PR).json, one per PR that
 # moves performance. BENCHTIME is multi-iteration on purpose: -benchtime=1x

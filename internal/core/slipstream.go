@@ -246,12 +246,7 @@ func (c *Controller) RPickupRegion(p *machine.Proc, seq int64, cfg Config) {
 // AAwaitRegion blocks the A-stream until its R-stream has picked up region
 // seq. The wait (normally negligible) is charged as job-wait time.
 func (c *Controller) AAwaitRegion(p *machine.Proc, seq int64) {
-	poll := c.M.P.SpinPollCycles
-	old := p.SetCategory(stats.CatJobWait)
-	for c.reg(p).RRegion < seq {
-		p.Wait(poll)
-	}
-	p.SetCategory(old)
+	p.SpinRegs(stats.CatJobWait, func(r *machine.PairRegs) bool { return r.RRegion >= seq })
 }
 
 // AStartRegion is the A-stream's region-entry hook: a pending recovery
@@ -335,24 +330,19 @@ func (c *Controller) InsertTokenAt(p *machine.Proc) {
 // as barrier synchronization. It returns true if a recovery request was
 // observed and absorbed (the caller should abandon the current region).
 func (c *Controller) ABarrier(p *machine.Proc) (recovered bool) {
-	poll := c.M.P.SpinPollCycles
-	old := p.SetCategory(stats.CatBarrier)
-	defer p.SetCategory(old)
-	for {
-		r := c.reg(p)
+	p.SpinRegs(stats.CatBarrier, func(r *machine.PairRegs) bool {
 		if r.Recover != 0 {
-			r.ABarriers = r.RBarriers
-			r.Recover = 0
-			r.AIdle = 1
-			r.SysTaken = r.SysPosted
+			absorbRecovery(r)
+			recovered = true
 			return true
 		}
 		if r.ABarriers < r.Allowance+r.RBarriers {
 			r.ABarriers++
-			return false
+			return true
 		}
-		p.Wait(poll)
-	}
+		return false
+	})
+	return recovered
 }
 
 // ARecoveryPending lets the A-stream poll for a recovery request at chunk
@@ -365,7 +355,12 @@ func (c *Controller) ARecoveryPending(p *machine.Proc) bool {
 // and marks it idle for the remainder of the region, so the R-stream stops
 // waiting on the decision semaphore (the A-stream no longer consumes).
 func (c *Controller) AAbsorbRecovery(p *machine.Proc) {
-	r := c.reg(p)
+	absorbRecovery(c.reg(p))
+}
+
+// absorbRecovery resynchronizes the A-side counters with the R-side ones
+// and marks the A-stream idle for the rest of the region.
+func absorbRecovery(r *machine.PairRegs) {
 	r.ABarriers = r.RBarriers
 	r.Recover = 0
 	r.AIdle = 1
@@ -379,45 +374,38 @@ func (c *Controller) AAbsorbRecovery(p *machine.Proc) {
 // previous decision to be consumed — the pair register holds one decision —
 // then writes it and posts the semaphore. Wait time is scheduling overhead.
 func (c *Controller) RPublishDecision(p *machine.Proc, lo, hi int64) {
-	poll := c.M.P.SpinPollCycles
-	old := p.SetCategory(stats.CatSched)
-	defer p.SetCategory(old)
-	for {
-		r := c.reg(p)
+	p.SpinRegs(stats.CatSched, func(r *machine.PairRegs) bool {
 		if r.Recover != 0 || r.AIdle != 0 {
 			// The A-stream is being recovered or has abandoned the
 			// region; drop the handshake so the R-stream cannot deadlock
 			// against an absent consumer.
-			return
+			return true
 		}
 		if r.SysPosted == r.SysTaken {
 			r.SchedLo, r.SchedHi = lo, hi
 			r.SysPosted++
-			return
+			return true
 		}
-		p.Wait(poll)
-	}
+		return false
+	})
 }
 
 // ATakeDecision blocks the A-stream until its R-stream publishes the next
 // scheduling decision, then consumes and returns it. The bool result is
 // false if a recovery request interrupted the wait.
 func (c *Controller) ATakeDecision(p *machine.Proc) (lo, hi int64, ok bool) {
-	poll := c.M.P.SpinPollCycles
-	old := p.SetCategory(stats.CatSched)
-	defer p.SetCategory(old)
-	for {
-		r := c.reg(p)
+	p.SpinRegs(stats.CatSched, func(r *machine.PairRegs) bool {
 		if r.Recover != 0 {
-			return 0, 0, false
+			return true
 		}
 		if r.SysPosted > r.SysTaken {
-			lo, hi = r.SchedLo, r.SchedHi
+			lo, hi, ok = r.SchedLo, r.SchedHi, true
 			r.SysTaken++
-			return lo, hi, true
+			return true
 		}
-		p.Wait(poll)
-	}
+		return false
+	})
+	return lo, hi, ok
 }
 
 // InjectDivergence forces a recovery request on p's pair (test/failure

@@ -240,7 +240,9 @@ func TestDivergenceDetectionAndRecovery(t *testing.T) {
 			stuck = false
 		},
 		func(p *machine.Proc) {
-			p.Ctx.SpinUntil(func() bool { return !stuck }, 20, nil)
+			for stuck {
+				p.Ctx.Advance(20)
+			}
 			recovered = c.ABarrier(p)
 		})
 	if c.Recoveries() == 0 {

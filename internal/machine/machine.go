@@ -250,18 +250,36 @@ func (p *Proc) Wait(n sim.Time) {
 }
 
 // SetCategory sets the category charged for wait cycles and returns the
-// previous one. Hot paths bracket waits with a SetCategory/restore pair
-// instead of WithCategory so no closure is allocated per operation.
+// previous one.
 func (p *Proc) SetCategory(c stats.Category) stats.Category {
 	old := p.cat
 	p.cat = c
 	return old
 }
 
-// WithCategory runs fn with wait cycles attributed to c.
-func (p *Proc) WithCategory(c stats.Category, fn func()) {
-	old := p.SetCategory(c)
-	fn()
+// SpinLoad is the runtime's spin on a shared word: each poll is a timed
+// Load of addr, then done; while done reports false the processor waits
+// SpinPollCycles and polls again. Every cycle is charged to cat, and the
+// previous category is restored on return. done may read and update
+// simulator state but must never park: no Load, Store, RMW or Wait runs
+// inside it.
+func (p *Proc) SpinLoad(cat stats.Category, addr shmem.Addr, done func() bool) {
+	old := p.SetCategory(cat)
+	for p.Load(addr); !done(); p.Load(addr) {
+		p.Wait(p.Node.M.P.SpinPollCycles)
+	}
+	p.cat = old
+}
+
+// SpinRegs is SpinLoad on the CMP's pair registers: each poll is a
+// RegAccessCycles register access, then done on the registers. The same
+// rule holds: done must never park.
+func (p *Proc) SpinRegs(cat stats.Category, done func(*PairRegs) bool) {
+	old := p.SetCategory(cat)
+	reg := p.Node.M.P.RegAccessCycles
+	for p.Wait(reg); !done(&p.Node.Regs); p.Wait(reg) {
+		p.Wait(p.Node.M.P.SpinPollCycles)
+	}
 	p.cat = old
 }
 

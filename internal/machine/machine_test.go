@@ -133,7 +133,9 @@ func TestL2HitFromSiblingProc(t *testing.T) {
 	})
 	var lat sim.Time
 	m.Start(1, func(p *Proc) {
-		p.Ctx.SpinUntil(func() bool { return done }, 10, nil)
+		for !done {
+			p.Ctx.Advance(10)
+		}
 		t0 := p.Ctx.Now()
 		p.Load(0)
 		lat = p.Ctx.Now() - t0
@@ -170,7 +172,9 @@ func TestWriteInvalidatesRemoteSharers(t *testing.T) {
 	m.Start(0, func(p *Proc) {
 		p.Load(addr)
 		phase = 1
-		p.Ctx.SpinUntil(func() bool { return phase == 2 }, 10, nil)
+		for phase != 2 {
+			p.Ctx.Advance(10)
+		}
 		// Reader's copy must be gone after node 1's store.
 		if m.Nodes[0].L2.Peek(m.LineOf(addr)) != nil {
 			t.Error("sharer L2 copy not invalidated by remote store")
@@ -180,7 +184,9 @@ func TestWriteInvalidatesRemoteSharers(t *testing.T) {
 		}
 	})
 	m.Start(2, func(p *Proc) { // proc 2 = node 1 cpu 0
-		p.Ctx.SpinUntil(func() bool { return phase == 1 }, 10, nil)
+		for phase != 1 {
+			p.Ctx.Advance(10)
+		}
 		p.Store(addr)
 		phase = 2
 	})
@@ -203,7 +209,9 @@ func TestDirtyRemoteReadDowngradesOwner(t *testing.T) {
 	})
 	var lat sim.Time
 	m.Start(2, func(p *Proc) {
-		p.Ctx.SpinUntil(func() bool { return phase == 1 }, 10, nil)
+		for phase != 1 {
+			p.Ctx.Advance(10)
+		}
 		t0 := p.Ctx.Now()
 		p.Load(addr)
 		lat = p.Ctx.Now() - t0
@@ -246,13 +254,17 @@ func TestIntraCMPWriteInvalidatesSiblingL1(t *testing.T) {
 	m.Start(0, func(p *Proc) {
 		p.Load(addr)
 		phase = 1
-		p.Ctx.SpinUntil(func() bool { return phase == 2 }, 10, nil)
+		for phase != 2 {
+			p.Ctx.Advance(10)
+		}
 		if p.L1.Peek(m.LineOf(addr)) != nil {
 			t.Error("sibling L1 copy survived local write")
 		}
 	})
 	m.Start(1, func(p *Proc) {
-		p.Ctx.SpinUntil(func() bool { return phase == 1 }, 10, nil)
+		for phase != 1 {
+			p.Ctx.Advance(10)
+		}
 		p.Store(addr)
 		phase = 2
 	})
@@ -273,7 +285,9 @@ func TestBreakdownAccountsAllCycles(t *testing.T) {
 			p.Load(shmem.Addr(i * 64))
 			p.Store(shmem.Addr(i * 64))
 		}
-		p.WithCategory(stats.CatBarrier, func() { p.Wait(77) })
+		old := p.SetCategory(stats.CatBarrier)
+		p.Wait(77)
+		p.SetCategory(old)
 		total = p.Ctx.Now() - start
 	})
 	if got := p0.Bd.Total(); got != uint64(total) {
@@ -284,6 +298,46 @@ func TestBreakdownAccountsAllCycles(t *testing.T) {
 	}
 	if p0.Bd[stats.CatBusy] < 100 {
 		t.Fatalf("busy cycles = %d, want >= 100", p0.Bd[stats.CatBusy])
+	}
+}
+
+// TestSpinPrimitivesPollAndCharge pins what one spin costs: SpinLoad
+// polls load-then-test and SpinRegs register-access-then-test, each
+// waiting SpinPollCycles between polls. Every stall goes to the spin's
+// category, and the previous category is back afterwards.
+func TestSpinPrimitivesPollAndCharge(t *testing.T) {
+	m := small()
+	var p0 *Proc
+	var loadSpin, regSpin sim.Time
+	runOne(t, m, 0, func(p *Proc) {
+		p0 = p
+		p.Load(0) // the polls below hit in L1
+		polls := 0
+		start := p.Ctx.Now()
+		p.SpinLoad(stats.CatLock, 0, func() bool { polls++; return polls == 3 })
+		loadSpin = p.Ctx.Now() - start
+		polls = 0
+		start = p.Ctx.Now()
+		p.SpinRegs(stats.CatSched, func(r *PairRegs) bool { polls++; r.SysPosted++; return polls == 3 })
+		regSpin = p.Ctx.Now() - start
+		if c := p.Category(); c != stats.CatMem {
+			t.Errorf("category after the spins = %v, want %v", c, stats.CatMem)
+		}
+	})
+	if want := 3*m.P.L1HitCycles + 2*m.P.SpinPollCycles; loadSpin != want {
+		t.Errorf("SpinLoad of 3 polls took %d cycles, want %d", loadSpin, want)
+	}
+	if want := 3*m.P.RegAccessCycles + 2*m.P.SpinPollCycles; regSpin != want {
+		t.Errorf("SpinRegs of 3 polls took %d cycles, want %d", regSpin, want)
+	}
+	if got := p0.Bd[stats.CatLock]; got != uint64(2*m.P.SpinPollCycles) {
+		t.Errorf("lock cycles = %d, want the 2 poll waits (%d)", got, 2*m.P.SpinPollCycles)
+	}
+	if got := p0.Bd[stats.CatSched]; got != uint64(regSpin) {
+		t.Errorf("sched cycles = %d, want the whole register spin (%d)", got, regSpin)
+	}
+	if got := p0.Node.Regs.SysPosted; got != 3 {
+		t.Errorf("SysPosted = %d, want the 3 updates made by done", got)
 	}
 }
 
@@ -362,7 +416,9 @@ func TestClassificationTimely(t *testing.T) {
 		phase = 1
 	})
 	m.Start(0, func(p *Proc) {
-		p.Ctx.SpinUntil(func() bool { return phase == 1 }, 10, nil)
+		for phase != 1 {
+			p.Ctx.Advance(10)
+		}
 		p.Compute(1000) // well past fill completion
 		p.Load(addr)    // R touches: A-Timely
 	})
@@ -423,7 +479,9 @@ func TestClassificationOnlyOnInvalidation(t *testing.T) {
 		phase = 1
 	})
 	m.Start(2, func(p *Proc) { // node 1 writes, invalidating A's fill
-		p.Ctx.SpinUntil(func() bool { return phase == 1 }, 10, nil)
+		for phase != 1 {
+			p.Ctx.Advance(10)
+		}
 		p.Store(addr)
 	})
 	if err := m.Run(); err != nil {
@@ -447,7 +505,9 @@ func TestSelfInvalidationDropsOwnerCopy(t *testing.T) {
 		phase = 1
 	})
 	m.Start(1, func(p *Proc) { // A-stream consumer read
-		p.Ctx.SpinUntil(func() bool { return phase == 1 }, 10, nil)
+		for phase != 1 {
+			p.Ctx.Advance(10)
+		}
 		p.Load(addr)
 		phase = 2
 	})

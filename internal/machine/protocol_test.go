@@ -48,7 +48,9 @@ func TestThreeHopLocalHome(t *testing.T) {
 	})
 	var lat sim.Time
 	m.Start(0, func(p *Proc) { // node 0 (the home) reads it back
-		p.Ctx.SpinUntil(func() bool { return phase == 1 }, 10, nil)
+		for phase != 1 {
+			p.Ctx.Advance(10)
+		}
 		t0 := p.Ctx.Now()
 		p.Load(addr)
 		lat = p.Ctx.Now() - t0
@@ -77,7 +79,9 @@ func TestWriteToDirtyRemote(t *testing.T) {
 		phase = 1
 	})
 	m.Start(4, func(p *Proc) { // node 2 overwrites
-		p.Ctx.SpinUntil(func() bool { return phase == 1 }, 10, nil)
+		for phase != 1 {
+			p.Ctx.Advance(10)
+		}
 		p.Store(addr)
 	})
 	if err := m.Run(); err != nil {
@@ -119,21 +123,29 @@ func TestRefillAfterInvalidation(t *testing.T) {
 	m.Start(1, func(p *Proc) { // A fills, R uses (timely)
 		p.Load(addr)
 		phase = 1
-		p.Ctx.SpinUntil(func() bool { return phase == 3 }, 10, nil)
+		for phase != 3 {
+			p.Ctx.Advance(10)
+		}
 		p.Load(addr) // refill after node 1's store; A fills again
 		phase = 4
 	})
 	m.Start(0, func(p *Proc) {
-		p.Ctx.SpinUntil(func() bool { return phase == 1 }, 10, nil)
+		for phase != 1 {
+			p.Ctx.Advance(10)
+		}
 		p.Compute(2000)
 		p.Load(addr) // A-timely #1
 		phase = 2
-		p.Ctx.SpinUntil(func() bool { return phase == 4 }, 10, nil)
+		for phase != 4 {
+			p.Ctx.Advance(10)
+		}
 		p.Compute(2000)
 		p.Load(addr) // A-timely #2
 	})
 	m.Start(2, func(p *Proc) {
-		p.Ctx.SpinUntil(func() bool { return phase == 2 }, 10, nil)
+		for phase != 2 {
+			p.Ctx.Advance(10)
+		}
 		p.Store(addr) // invalidate node 0's copy
 		phase = 3
 	})
@@ -158,7 +170,9 @@ func TestPairUseViaL1Hit(t *testing.T) {
 		phase = 1
 	})
 	m.Start(0, func(p *Proc) {
-		p.Ctx.SpinUntil(func() bool { return phase == 1 }, 10, nil)
+		for phase != 1 {
+			p.Ctx.Advance(10)
+		}
 		p.Compute(1000)
 		p.Load(0) // touch #1: marks UsedByPair, fills R's L1
 		p.Load(0) // touch #2: L1 hit; must not double-count

@@ -31,10 +31,14 @@ func TestProtoCountsUpgradeAndInval(t *testing.T) {
 	m.Start(0, func(p *Proc) {
 		p.Load(addr)
 		phase = 1
-		p.Ctx.SpinUntil(func() bool { return phase == 2 }, 10, nil)
+		for phase != 2 {
+			p.Ctx.Advance(10)
+		}
 	})
 	m.Start(2, func(p *Proc) {
-		p.Ctx.SpinUntil(func() bool { return phase == 1 }, 10, nil)
+		for phase != 1 {
+			p.Ctx.Advance(10)
+		}
 		p.Load(addr)  // both nodes share
 		p.Store(addr) // upgrade: invalidates node 0
 		phase = 2
@@ -59,7 +63,9 @@ func TestProtoCountsDirtyForward(t *testing.T) {
 		phase = 1
 	})
 	m.Start(2, func(p *Proc) {
-		p.Ctx.SpinUntil(func() bool { return phase == 1 }, 10, nil)
+		for phase != 1 {
+			p.Ctx.Advance(10)
+		}
 		p.Load(addr) // 3-hop from dirty owner
 	})
 	if err := m.Run(); err != nil {
@@ -146,7 +152,9 @@ func TestSelfInvalCounter(t *testing.T) {
 		phase = 1
 	})
 	m.Start(1, func(p *Proc) {
-		p.Ctx.SpinUntil(func() bool { return phase == 1 }, 10, nil)
+		for phase != 1 {
+			p.Ctx.Advance(10)
+		}
 		p.Load(0)
 	})
 	if err := m.Run(); err != nil {

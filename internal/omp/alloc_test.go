@@ -95,3 +95,50 @@ func TestStaticScheduleIterationAllocFree(t *testing.T) {
 			small, large, slope)
 	}
 }
+
+// spinRunAllocs measures the allocations of one slipstream-L1 run whose
+// region waits n times at each kind of spin: n barriers (the team's sense
+// spin and the A-stream's token wait), n critical sections (the lock's
+// test-and-test-and-set), an n-iteration ordered loop (the turn spin) and
+// an n-chunk dynamic loop (the pair-register decision handoff).
+func spinRunAllocs(t *testing.T, n int) float64 {
+	t.Helper()
+	p := machine.DefaultParams()
+	p.Nodes = 2
+	return testing.AllocsPerRun(5, func() {
+		rt, err := New(Config{Machine: p, Mode: core.ModeSlipstream, Slipstream: core.L1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := rt.NewF64(1)
+		err = rt.Run(func(m *Thread) {
+			m.Parallel(func(th *Thread) {
+				add := func() { th.StF(sum, 0, th.LdF(sum, 0)+1) }
+				for k := 0; k < n; k++ {
+					th.Critical(add)
+					th.Barrier()
+				}
+				th.ForOrdered(0, n, func(i int, ordered func(func())) { ordered(add) })
+				th.ForSched(Dynamic, 1, 0, n, false, func(i int) { th.LdF(sum, 0) })
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// A spin episode must not allocate: the waits above poll shared words and
+// pair registers in place, so only the constant setup cost may differ
+// between a run of 10 and one of 1,010 episodes of each kind. This is the
+// guard a move of the spin polls into the engine has to keep.
+func TestSpinEpisodeAllocFree(t *testing.T) {
+	spinRunAllocs(t, 10) // warm the sim worker pool
+	small := spinRunAllocs(t, 10)
+	large := spinRunAllocs(t, 1010)
+	slope := (large - small) / (4 * 1000)
+	if slope > 0.01 {
+		t.Fatalf("spin episodes allocate: %.0f allocs at n=10, %.0f at n=1010 (%.4f allocs/episode)",
+			small, large, slope)
+	}
+}

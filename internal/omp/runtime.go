@@ -245,19 +245,12 @@ func (rt *Runtime) terminate(master *Thread) {
 // slaveLoop is the pool loop: spin on the job flag, run the region, repeat.
 // Job-wait spinning is attributed to the jobwait category (Figure 2/4).
 func (rt *Runtime) slaveLoop(t *Thread) {
-	poll := rt.Cfg.Machine.SpinPollCycles
 	for {
-		old := t.P.SetCategory(stats.CatJobWait)
 		var seq int64
-		for {
-			t.P.Load(rt.jobSeq.Addr(0))
+		t.P.SpinLoad(stats.CatJobWait, rt.jobSeq.Addr(0), func() bool {
 			seq = rt.jobSeq.Get(0)
-			if seq < 0 || seq > t.lastSeq {
-				break
-			}
-			t.P.Wait(poll)
-		}
-		t.P.SetCategory(old)
+			return seq < 0 || seq > t.lastSeq
+		})
 		if seq < 0 {
 			return
 		}

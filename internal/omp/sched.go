@@ -99,20 +99,8 @@ func (t *Thread) forDynamic(chunk, lo, hi int, body func(i int), guided bool) {
 		chunk = 1
 	}
 	if t.isA {
-		if !t.ssActive {
-			return
-		}
-		for !t.abandoned {
-			lo64, hi64, ok := rt.SS.ATakeDecision(t.P)
-			if !ok {
-				rt.SS.AAbsorbRecovery(t.P)
-				t.abandoned = true
-				return
-			}
-			if lo64 >= hi64 {
-				return // terminal decision
-			}
-			t.runChunk(int(lo64), int(hi64), body)
+		if t.ssActive {
+			t.aReplay(func(cLo, cHi int64) { t.runChunk(int(cLo), int(cHi), body) })
 		}
 		return
 	}
@@ -163,6 +151,26 @@ func (t *Thread) forDynamic(chunk, lo, hi int, body func(i int), guided bool) {
 	}
 }
 
+// aReplay is the A-stream's side of one scheduling construct: it takes
+// each decision its R-stream publishes and runs it, stops at the
+// construct's terminal (empty) decision, and abandons the region on a
+// recovery. The controller then drops the R-stream's further publishes,
+// so the two streams stay matched.
+func (t *Thread) aReplay(run func(lo, hi int64)) {
+	for !t.abandoned {
+		lo, hi, ok := t.rt.SS.ATakeDecision(t.P)
+		if !ok {
+			t.rt.SS.AAbsorbRecovery(t.P)
+			t.abandoned = true
+			return
+		}
+		if lo >= hi {
+			return
+		}
+		run(lo, hi)
+	}
+}
+
 // loopInstance returns (lazily creating) the shared scheduler state for a
 // dynamic/guided loop occurrence, with the next-iteration counter
 // initialized to lo.
@@ -209,18 +217,7 @@ func (t *Thread) ForAffinity(chunk, lo, hi int, body func(i int)) {
 	if t.isA {
 		// Replay the R-stream's claimed chunks.
 		if t.ssActive {
-			for !t.abandoned {
-				lo64, hi64, ok := rt.SS.ATakeDecision(t.P)
-				if !ok {
-					rt.SS.AAbsorbRecovery(t.P)
-					t.abandoned = true
-					break
-				}
-				if lo64 >= hi64 {
-					break
-				}
-				t.runChunk(int(lo64), int(hi64), body)
-			}
+			t.aReplay(func(cLo, cHi int64) { t.runChunk(int(cLo), int(cHi), body) })
 		}
 		t.Barrier()
 		return

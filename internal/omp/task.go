@@ -319,8 +319,8 @@ func (t *Thread) tryRunTask(ct *taskRT, anc int32) bool {
 // stream, so nested taskwaits inside task bodies pair up recursively.
 func (t *Thread) Taskwait() {
 	if t.isA {
-		if t.ssActive && !t.abandoned {
-			t.aReplayTasks()
+		if t.ssActive {
+			t.aReplay(t.replayTask)
 		}
 		return
 	}
@@ -360,8 +360,8 @@ func (t *Thread) Taskwait() {
 // and then consumes the barrier token as usual.
 func (t *Thread) TaskBarrier() {
 	if t.isA {
-		if t.ssActive && !t.abandoned {
-			t.aReplayTasks()
+		if t.ssActive {
+			t.aReplay(t.replayTask)
 		}
 		t.Barrier()
 		return
@@ -416,33 +416,18 @@ func (rt *Runtime) taskBarCell(seq, idx int) *shmem.I64 {
 	return c
 }
 
-// aReplayTasks mirrors one scheduling construct on the A-stream: take
-// each task ID the R-stream published, execute its skeletonized body
-// (stores become prefetches via the usual A-stream access policy, nested
-// Task spawns are no-ops, nested Taskwaits recurse into the published
-// sub-stream), and stop at the construct's terminal decision. A recovery
-// abandons the replay; the controller then drops the R-stream's further
-// publishes, so the streams stay matched.
-func (t *Thread) aReplayTasks() {
-	rt := t.rt
-	for !t.abandoned {
-		lo, hi, ok := rt.SS.ATakeDecision(t.P)
-		if !ok {
-			rt.SS.AAbsorbRecovery(t.P)
-			t.abandoned = true
-			return
-		}
-		if lo >= hi {
-			return
-		}
-		// Copy the record: the R-side may finish the region and recycle
-		// the table while this skeleton is still executing.
-		rec := rt.tasks.records[lo]
-		prev := t.curTask
-		t.curTask = int32(lo)
-		rec.run(t)
-		t.curTask = prev
-	}
+// replayTask runs, on the A-stream, the skeleton of the task its R-stream
+// published as id: stores become prefetches via the usual A-stream access
+// policy, nested Task spawns are no-ops, and nested Taskwaits replay the
+// published sub-stream.
+func (t *Thread) replayTask(id, _ int64) {
+	// Copy the record: the R-side may finish the region and recycle the
+	// table while this skeleton is still executing.
+	rec := t.rt.tasks.records[id]
+	prev := t.curTask
+	t.curTask = int32(id)
+	rec.run(t)
+	t.curTask = prev
 }
 
 // Taskloop distributes the iterations of [lo, hi) over explicit tasks of

@@ -153,7 +153,6 @@ func (t *Thread) Barrier() {
 func (t *Thread) teamBarrier() {
 	rt := t.rt
 	n := int64(rt.teamSize)
-	poll := rt.Cfg.Machine.SpinPollCycles
 	old := t.P.SetCategory(stats.CatBarrier)
 	mySense := 1 - t.barSense
 	if t.fetchAdd(rt.barCount, 0, 1)+1 == n {
@@ -169,13 +168,7 @@ func (t *Thread) teamBarrier() {
 		t.P.Store(rt.barSense.Addr(0))
 		rt.barSense.Set(0, mySense)
 	} else {
-		for {
-			t.P.Load(rt.barSense.Addr(0))
-			if rt.barSense.Get(0) == mySense {
-				break
-			}
-			t.P.Wait(poll)
-		}
+		t.P.SpinLoad(stats.CatBarrier, rt.barSense.Addr(0), func() bool { return rt.barSense.Get(0) == mySense })
 	}
 	t.barSense = mySense
 	t.P.SetCategory(old)
@@ -288,7 +281,6 @@ func (t *Thread) ForOrdered(lo, hi int, body func(i int, ordered func(func()))) 
 	rt := t.rt
 	cell := rt.orderedCell(int(t.lastSeq), t.orderedIdx, lo)
 	t.orderedIdx++
-	poll := rt.Cfg.Machine.SpinPollCycles
 	// One ordered closure per loop instance, not per iteration: the current
 	// iteration number flows through cur.
 	cur := lo
@@ -296,15 +288,7 @@ func (t *Thread) ForOrdered(lo, hi int, body func(i int, ordered func(func()))) 
 		if t.isA || t.abandoned {
 			return
 		}
-		old := t.P.SetCategory(stats.CatLock)
-		for {
-			t.P.Load(cell.Addr(0))
-			if cell.Get(0) == int64(cur) {
-				break
-			}
-			t.P.Wait(poll)
-		}
-		t.P.SetCategory(old)
+		t.P.SpinLoad(stats.CatLock, cell.Addr(0), func() bool { return cell.Get(0) == int64(cur) })
 		fn()
 		t.P.Store(cell.Addr(0))
 		cell.Set(0, int64(cur)+1)
@@ -418,22 +402,21 @@ type Lock struct {
 	w *shmem.I64
 }
 
-// lockAcquire spins until the lock is taken, charging waits to cat.
+// lockAcquire takes the lock by test-and-test-and-set, charging waits to
+// cat: spin until the word reads free, then try the RMW; a lost RMW waits
+// one poll and spins again.
 func (t *Thread) lockAcquire(l *Lock, cat stats.Category) {
-	poll := t.rt.Cfg.Machine.SpinPollCycles
 	old := t.P.SetCategory(cat)
 	for {
-		t.P.Load(l.w.Addr(0))
+		t.P.SpinLoad(cat, l.w.Addr(0), func() bool { return l.w.Get(0) == 0 })
+		t.P.RMW(l.w.Addr(0))
 		if l.w.Get(0) == 0 {
-			t.P.RMW(l.w.Addr(0))
-			if l.w.Get(0) == 0 {
-				l.w.Set(0, 1)
-				t.P.SetCategory(old)
-				return
-			}
+			break
 		}
-		t.P.Wait(poll)
+		t.P.Wait(t.rt.Cfg.Machine.SpinPollCycles)
 	}
+	l.w.Set(0, 1)
+	t.P.SetCategory(old)
 }
 
 // lockRelease frees the lock.

@@ -350,15 +350,6 @@ func (c *Context) park() {
 	}
 }
 
-// WaitUntil parks the context until absolute time at (no-op if at <= now).
-func (c *Context) WaitUntil(at Time) {
-	if at <= c.eng.now {
-		return
-	}
-	c.eng.schedule(at, c, nil)
-	c.park()
-}
-
 // Advance parks the context for d cycles of simulated time.
 func (c *Context) Advance(d Time) {
 	if d == 0 {
@@ -366,27 +357,6 @@ func (c *Context) Advance(d Time) {
 	}
 	c.eng.schedule(c.eng.now+d, c, nil)
 	c.park()
-}
-
-// SpinUntil repeatedly evaluates cond, advancing poll cycles between
-// evaluations (and charging perPoll, e.g. a flag load latency, via the
-// charge callback if non-nil). It returns the total cycles spent waiting.
-// cond is evaluated once immediately; if already true the wait is free.
-func (c *Context) SpinUntil(cond func() bool, poll Time, charge func() Time) Time {
-	if poll == 0 {
-		poll = 1
-	}
-	start := c.eng.now
-	for !cond() {
-		if charge != nil {
-			c.Advance(charge())
-		}
-		if cond() {
-			break
-		}
-		c.Advance(poll)
-	}
-	return c.eng.now - start
 }
 
 // Resource models a unit that can serve one transaction at a time, with

@@ -90,23 +90,6 @@ func TestContextStartOffset(t *testing.T) {
 	}
 }
 
-func TestWaitUntilPast(t *testing.T) {
-	e := NewEngine()
-	e.Spawn("p", 10, func(c *Context) {
-		c.WaitUntil(5) // already past: must not rewind or park forever
-		if c.Now() != 10 {
-			t.Errorf("WaitUntil(past) moved time to %d", c.Now())
-		}
-		c.WaitUntil(20)
-		if c.Now() != 20 {
-			t.Errorf("WaitUntil(20) got %d", c.Now())
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTwoContextsInterleave(t *testing.T) {
 	e := NewEngine()
 	var trace []string
@@ -136,59 +119,13 @@ func TestTwoContextsInterleave(t *testing.T) {
 	}
 }
 
-func TestSpinUntil(t *testing.T) {
-	e := NewEngine()
-	flag := false
-	e.At(100, func() { flag = true })
-	var waited Time
-	e.Spawn("spinner", 0, func(c *Context) {
-		waited = c.SpinUntil(func() bool { return flag }, 10, nil)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if waited < 100 || waited > 110 {
-		t.Fatalf("spin waited %d cycles, want ~100-110", waited)
-	}
-}
-
-func TestSpinUntilImmediate(t *testing.T) {
-	e := NewEngine()
-	e.Spawn("p", 0, func(c *Context) {
-		w := c.SpinUntil(func() bool { return true }, 10, nil)
-		if w != 0 {
-			t.Errorf("immediate spin cost %d cycles, want 0", w)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSpinUntilChargesPollCost(t *testing.T) {
-	e := NewEngine()
-	flag := false
-	e.At(50, func() { flag = true })
-	e.Spawn("p", 0, func(c *Context) {
-		c.SpinUntil(func() bool { return flag }, 5, func() Time { return 5 })
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Now() < 50 {
-		t.Fatalf("engine ended at %d, before flag set", e.Now())
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("waiter", 0, func(c *Context) {
-		// Park with a wake event, then the cond never becomes true but
-		// SpinUntil always reschedules, so craft a direct deadlock instead:
-		// schedule nothing and park via WaitUntil on an event the engine
-		// already consumed. We simulate by never finishing: spin on a
-		// condition with zero reschedule is impossible through the public
-		// API, so this test instead checks normal completion reporting.
+		// Every park through the public API schedules its own wake-up,
+		// so a context cannot deadlock itself here; this test checks that
+		// a normal completion is not reported as a deadlock
+		// (TestDeadlockReported builds a real one).
 		c.Advance(1)
 	})
 	if err := e.Run(); err != nil {

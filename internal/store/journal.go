@@ -98,15 +98,24 @@ const DefaultSegmentBytes = 4 << 20
 // terminal transitions are fsync'd; rotation compacts the full transition
 // history down to one folded record per job and installs the compacted
 // segment with an atomic rename.
+//
+// Rotation is amortized: it runs once the bytes appended since the last
+// compaction exceed both maxSeg and what that compaction wrote, so the
+// rewrite work stays linear in the bytes appended even when the folded
+// state alone is larger than maxSeg. Open cannot tell a replayed
+// segment's compacted prefix from the transitions appended after it, so
+// it counts the whole segment as appended: a restart over a segment past
+// maxSeg compacts once, on its first append, and amortizes from there.
 type Journal struct {
 	mu     sync.Mutex
 	dir    string
 	maxSeg int64
 
-	f        *os.File // active segment, opened O_APPEND
-	segSeq   int
-	segBytes int64
-	total    int64 // bytes across all live segments
+	f         *os.File // active segment, opened O_APPEND
+	segSeq    int
+	segBytes  int64
+	compacted int64 // bytes the last compaction wrote (0 after Open)
+	total     int64 // bytes across all live segments
 
 	folded map[string]Record
 	order  []string // job ids in first-seen order
@@ -245,7 +254,7 @@ func (j *Journal) Append(r Record, sync bool) error {
 			return err
 		}
 	}
-	if j.segBytes > j.maxSeg {
+	if j.segBytes-j.compacted > max(j.maxSeg, j.compacted) {
 		return j.compactLocked()
 	}
 	return nil
@@ -323,6 +332,7 @@ func (j *Journal) compactLocked() error {
 	j.f = nf
 	j.segSeq = next
 	j.segBytes = written
+	j.compacted = written
 	j.total = written
 	return dirErr
 }

@@ -2,8 +2,10 @@ package store
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -164,6 +166,93 @@ func TestJournalRotationCompacts(t *testing.T) {
 	_, recs := openT(t, dir, 0)
 	if len(recs) != 1 || recs[0].State != "done" || string(recs[0].Spec) != string(spec) || recs[0].Key != "cc33" {
 		t.Fatalf("replay after rotation = %+v, want folded done record with spec and key", recs)
+	}
+}
+
+// TestJournalCompactionAmortized: once the folded state outgrows maxSeg,
+// compaction must not rewrite the journal on every append. Appending
+// unique jobs until the live state is 10× maxSeg compacts at most once
+// per maxSeg appended; a reopened journal keeps that bound over another
+// 10× maxSeg instead of compacting on its first appends, and replay
+// returns every job.
+func TestJournalCompactionAmortized(t *testing.T) {
+	const maxSeg = 4096
+	dir := t.TempDir()
+	spec := json.RawMessage(`{"kind":"run","kernel":"CG","nodes":4,"params":"` + strings.Repeat("x", 160) + `"}`)
+	jobs := 0
+	var live int64
+	for round := 1; round <= 2; round++ {
+		j, recs := openT(t, dir, maxSeg)
+		if len(recs) != jobs {
+			t.Fatalf("round %d: replay returned %d jobs, want %d", round, len(recs), jobs)
+		}
+		startSeq := j.segSeq
+		var appended int64
+		for live < int64(round)*10*maxSeg {
+			jobs++
+			r := Record{Job: fmt.Sprintf("job-%d", jobs), Key: "dd44", State: "done", Attempts: 1, Spec: spec}
+			n := int64(len(encodeFrame(r)))
+			mustAppend(t, j, r, false)
+			appended += n
+			live += n
+		}
+		compactions := int64(j.segSeq - startSeq)
+		if bound := appended/maxSeg + 1; compactions > bound {
+			t.Errorf("round %d: %d compactions for %d bytes appended, want <= %d", round, compactions, appended, bound)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, recs := openT(t, dir, maxSeg)
+	if len(recs) != jobs {
+		t.Fatalf("final replay returned %d jobs, want %d", len(recs), jobs)
+	}
+	for i, r := range recs {
+		if want := fmt.Sprintf("job-%d", i+1); r.Job != want || r.State != "done" || string(r.Spec) != string(spec) {
+			t.Fatalf("replayed record %d = %+v, want %s done with its spec", i, r, want)
+		}
+	}
+}
+
+// TestJournalReopenKeepsCompacting: a journal restarted often, each run
+// appending less than maxSeg, must still compact. This is the claims
+// journal's life: every lease renewal appends a record for a claim the
+// fold already holds. Across 60 runs that each add two claims and renew
+// about 2 KiB, the journal stays within 2× max(maxSeg, live bytes).
+func TestJournalReopenKeepsCompacting(t *testing.T) {
+	const maxSeg = 4096
+	dir := t.TempDir()
+	spec := json.RawMessage(`{"kind":"run","kernel":"CG","nodes":4,"params":"` + strings.Repeat("x", 160) + `"}`)
+	claims := 0
+	renewals := 0
+	for run := 1; run <= 60; run++ {
+		j, recs := openT(t, dir, maxSeg)
+		if len(recs) != claims {
+			t.Fatalf("run %d: replay returned %d claims, want %d", run, len(recs), claims)
+		}
+		for k := 0; k < 2; k++ {
+			claims++
+			mustAppend(t, j, Record{Job: fmt.Sprintf("claim-%d", claims), State: "pending", Spec: spec}, true)
+		}
+		var appended int64
+		for appended < 2048 {
+			renewals++
+			r := Record{Job: fmt.Sprintf("claim-%d", renewals%claims+1), State: "claimed",
+				ClaimedBy: "worker-1", ClaimExpiresAt: 1_700_000_000_000 + int64(renewals), ClaimAttempt: 1}
+			appended += int64(len(encodeFrame(r)))
+			mustAppend(t, j, r, false)
+		}
+		var live int64
+		for _, id := range j.order {
+			live += int64(len(encodeFrame(j.folded[id])))
+		}
+		if size := j.Size(); size > 2*max(maxSeg, live) {
+			t.Fatalf("run %d: journal holds %d bytes for %d live bytes, want <= %d", run, size, live, 2*max(maxSeg, live))
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

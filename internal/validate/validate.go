@@ -25,6 +25,24 @@ type Result struct {
 	Detail string
 }
 
+// minNodes is the smallest machine every check is built for: the 3-hop
+// check reads from node 0 a line homed on node 3 and dirtied by node 1,
+// and the contention check needs more than its two baseline requesters.
+const minNodes = 4
+
+// refuse reports why the checkup cannot run on p: p fails
+// Params.Validate, or it has fewer than the 4 CMPs every check is built
+// for. It returns nil for a machine the checkup can run on.
+func refuse(p machine.Params) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if p.Nodes < minNodes {
+		return fmt.Errorf("the checkup needs at least %d CMPs, got %d", minNodes, p.Nodes)
+	}
+	return nil
+}
+
 // All runs every check sequentially against the given parameters
 // (typically machine.DefaultParams, possibly with a different node count).
 func All(p machine.Params) []Result { return AllParallel(p, 1) }
@@ -32,7 +50,12 @@ func All(p machine.Params) []Result { return AllParallel(p, 1) }
 // AllParallel runs the checks on up to jobs workers (0 = one per host
 // CPU). Every check builds its own machines, so they are independent;
 // results keep the canonical check order regardless of completion order.
+// A machine refuse turns down runs no check: the one failed result names
+// the reason.
 func AllParallel(p machine.Params, jobs int) []Result {
+	if err := refuse(p); err != nil {
+		return []Result{verdict("machine", false, "", err)}
+	}
 	checks := []func(machine.Params) Result{
 		CheckL1Hit,
 		CheckL2Hit,
@@ -109,7 +132,9 @@ func CheckL2Hit(p machine.Params) Result {
 	var d sim.Time
 	m.Start(0, func(pr *machine.Proc) { pr.Load(0); done = true })
 	m.Start(1, func(pr *machine.Proc) {
-		pr.Ctx.SpinUntil(func() bool { return done }, 5, nil)
+		for !done {
+			pr.Ctx.Advance(5)
+		}
 		t0 := pr.Ctx.Now()
 		pr.Load(0)
 		d = pr.Ctx.Now() - t0
@@ -149,7 +174,9 @@ func CheckThreeHopDearer(p machine.Params) Result {
 		phase = 1
 	})
 	m.Start(0, func(pr *machine.Proc) {
-		pr.Ctx.SpinUntil(func() bool { return phase == 1 }, 5, nil)
+		for phase != 1 {
+			pr.Ctx.Advance(5)
+		}
 		t0 := pr.Ctx.Now()
 		pr.Load(shmem.Addr(2 * p.LineBytes)) // clean remote (home 2)
 		clean = pr.Ctx.Now() - t0
@@ -246,7 +273,9 @@ func CheckBreakdownConservation(p machine.Params) Result {
 			for k := 0; k < 50; k++ {
 				pr.Load(shmem.Addr(uint64(g*64*p.LineBytes + k*p.LineBytes)))
 				pr.Compute(7)
-				pr.WithCategory(stats.CatLock, func() { pr.Wait(3) })
+				old := pr.SetCategory(stats.CatLock)
+				pr.Wait(3)
+				pr.SetCategory(old)
 			}
 			if got := pr.Bd.Total(); got != uint64(pr.Ctx.Now()-start) {
 				ok = false

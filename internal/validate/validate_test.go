@@ -66,3 +66,27 @@ func TestChecksDetectBrokenModel(t *testing.T) {
 		t.Fatalf("3-hop check passed on a degenerate model: %s", r.Detail)
 	}
 }
+
+// TestRefusesMachineItCannotCheck: a machine outside the simulator's range
+// or smaller than the checks are built for runs no check; the checkup
+// reports why instead of panicking in a check or failing one for the
+// wrong reason.
+func TestRefusesMachineItCannotCheck(t *testing.T) {
+	for _, tc := range []struct {
+		nodes  int
+		reason string
+	}{
+		{0, "node count 0 out of range"},
+		{1, "at least 4 CMPs, got 1"},
+		{2, "at least 4 CMPs, got 2"},
+		{3, "at least 4 CMPs, got 3"},
+		{65, "node count 65 out of range"},
+	} {
+		p := machine.DefaultParams()
+		p.Nodes = tc.nodes
+		rs := All(p)
+		if len(rs) != 1 || rs[0].Pass || !strings.Contains(rs[0].Detail, tc.reason) {
+			t.Errorf("%d CMPs: got %+v, want one failed result naming %q", tc.nodes, rs, tc.reason)
+		}
+	}
+}
