@@ -23,15 +23,17 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # The experiment runner, pool, validate checkup, slipd server, journal
-# store, fleet coordinator, the sim engine's pooled context workers, and
-# the omp task deques (concurrent steals under injected stragglers) fan
-# work out across goroutines; keep them race-clean. -short skips only
+# store, fleet coordinator, the sim engine's pooled context workers, the
+# omp task deques (concurrent steals under injected stragglers), and the
+# machine and core spin waits (stepped on the engine goroutine while
+# their context goroutines read the same Proc and pair-register state)
+# fan work out across goroutines; keep them race-clean. -short skips only
 # the paper-scale shape tests (simulation numbers, no extra
 # concurrency), so every racy path is still exercised and the
 # instrumented run stays within the go test timeout. CI runs this
 # target, so the package list lives only here.
 race:
-	$(GO) test -race -short ./internal/sim/... ./internal/experiments/... ./internal/pool/... ./internal/validate/... ./internal/server/... ./internal/store/... ./internal/cluster/... ./internal/omp/...
+	$(GO) test -race -short ./internal/sim/... ./internal/experiments/... ./internal/pool/... ./internal/validate/... ./internal/server/... ./internal/store/... ./internal/cluster/... ./internal/omp/... ./internal/machine/... ./internal/core/...
 
 verify: build test vet race
 
@@ -65,7 +67,7 @@ golden:
 # Paper-scale golden gate: slipsim's whole experiment set at 16 CMPs must
 # print the committed experiment_results.txt byte for byte. The goldens
 # above run 4 CMPs, and a spin-ordering slip may only show with 16
-# spinners. About 90 s on 2 CPUs.
+# spinners. About 50 s on 2 CPUs.
 golden-paper:
 	mkdir -p bin
 	$(GO) build -o bin/slipsim ./cmd/slipsim
@@ -74,7 +76,7 @@ golden-paper:
 # Benchmark baselines are committed as BENCH_PR$(PR).json, one per PR that
 # moves performance. BENCHTIME is multi-iteration on purpose: -benchtime=1x
 # made ns/op a single noisy sample and the ratchet flapped.
-PR ?= 7
+PR ?= 22
 BENCH_OUT ?= BENCH_PR$(PR).json
 BENCHTIME ?= 3x
 BENCH_COUNT ?= 2

@@ -27,7 +27,9 @@ func benchParams() machine.Params {
 }
 
 // benchRun executes one kernel/config run per iteration and reports the
-// simulated wall-clock cycles.
+// simulated wall-clock cycles and what one run cost the engine: events
+// popped, goroutine switches, and spin steps (polls the engine ran
+// without a switch).
 func benchRun(b *testing.B, kernel string, cfg omp.Config) experiments.Result {
 	b.Helper()
 	k, err := npb.ByName(kernel)
@@ -46,6 +48,9 @@ func benchRun(b *testing.B, kernel string, cfg omp.Config) experiments.Result {
 		last = r
 	}
 	b.ReportMetric(float64(last.Wall), "sim-cycles")
+	b.ReportMetric(float64(last.Engine.Events), "events")
+	b.ReportMetric(float64(last.Engine.Switches), "switches")
+	b.ReportMetric(float64(last.Engine.SpinSteps), "spin-steps")
 	return last
 }
 

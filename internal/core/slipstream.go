@@ -170,6 +170,19 @@ type Controller struct {
 
 	// recoveries counts divergence recoveries taken by A-streams.
 	recoveries uint64
+
+	// waits holds each processor's pair-register spin tests, indexed by
+	// Proc.GID. The machine steps them between polls, so they are
+	// allocated once here: a closure per wait would allocate.
+	waits []pairWaits
+}
+
+// pairWaits is one processor's set of pair-register spin tests.
+type pairWaits struct {
+	region  regionWait
+	token   tokenWait
+	publish publishWait
+	take    takeWait
 }
 
 // NewController builds a controller. env is the OMP_SLIPSTREAM value
@@ -182,7 +195,7 @@ func NewController(m *machine.Machine, enabled bool, env string) (*Controller, e
 	if cfg.Type == NoneSync {
 		enabled = false
 	}
-	return &Controller{M: m, Enabled: enabled, Env: cfg, Global: cfg}, nil
+	return &Controller{M: m, Enabled: enabled, Env: cfg, Global: cfg, waits: make([]pairWaits, len(m.Procs))}, nil
 }
 
 // SetGlobal applies a serial-part SLIPSTREAM directive: it becomes the
@@ -246,8 +259,15 @@ func (c *Controller) RPickupRegion(p *machine.Proc, seq int64, cfg Config) {
 // AAwaitRegion blocks the A-stream until its R-stream has picked up region
 // seq. The wait (normally negligible) is charged as job-wait time.
 func (c *Controller) AAwaitRegion(p *machine.Proc, seq int64) {
-	p.SpinRegs(stats.CatJobWait, func(r *machine.PairRegs) bool { return r.RRegion >= seq })
+	w := &c.waits[p.GID].region
+	w.seq = seq
+	p.SpinRegs(stats.CatJobWait, w)
 }
+
+// regionWait is AAwaitRegion's test: the R-stream has picked up seq.
+type regionWait struct{ seq int64 }
+
+func (w *regionWait) Done(r *machine.PairRegs) bool { return r.RRegion >= w.seq }
 
 // AStartRegion is the A-stream's region-entry hook: a pending recovery
 // request (from a divergence detected in the previous region) is absorbed
@@ -330,19 +350,27 @@ func (c *Controller) InsertTokenAt(p *machine.Proc) {
 // as barrier synchronization. It returns true if a recovery request was
 // observed and absorbed (the caller should abandon the current region).
 func (c *Controller) ABarrier(p *machine.Proc) (recovered bool) {
-	p.SpinRegs(stats.CatBarrier, func(r *machine.PairRegs) bool {
-		if r.Recover != 0 {
-			absorbRecovery(r)
-			recovered = true
-			return true
-		}
-		if r.ABarriers < r.Allowance+r.RBarriers {
-			r.ABarriers++
-			return true
-		}
-		return false
-	})
-	return recovered
+	w := &c.waits[p.GID].token
+	w.recovered = false
+	p.SpinRegs(stats.CatBarrier, w)
+	return w.recovered
+}
+
+// tokenWait is ABarrier's test: absorb a recovery request, or consume a
+// token once one is available.
+type tokenWait struct{ recovered bool }
+
+func (w *tokenWait) Done(r *machine.PairRegs) bool {
+	if r.Recover != 0 {
+		absorbRecovery(r)
+		w.recovered = true
+		return true
+	}
+	if r.ABarriers < r.Allowance+r.RBarriers {
+		r.ABarriers++
+		return true
+	}
+	return false
 }
 
 // ARecoveryPending lets the A-stream poll for a recovery request at chunk
@@ -374,38 +402,57 @@ func absorbRecovery(r *machine.PairRegs) {
 // previous decision to be consumed — the pair register holds one decision —
 // then writes it and posts the semaphore. Wait time is scheduling overhead.
 func (c *Controller) RPublishDecision(p *machine.Proc, lo, hi int64) {
-	p.SpinRegs(stats.CatSched, func(r *machine.PairRegs) bool {
-		if r.Recover != 0 || r.AIdle != 0 {
-			// The A-stream is being recovered or has abandoned the
-			// region; drop the handshake so the R-stream cannot deadlock
-			// against an absent consumer.
-			return true
-		}
-		if r.SysPosted == r.SysTaken {
-			r.SchedLo, r.SchedHi = lo, hi
-			r.SysPosted++
-			return true
-		}
-		return false
-	})
+	w := &c.waits[p.GID].publish
+	w.lo, w.hi = lo, hi
+	p.SpinRegs(stats.CatSched, w)
+}
+
+// publishWait is RPublishDecision's test: post the decision once the
+// register is free.
+type publishWait struct{ lo, hi int64 }
+
+func (w *publishWait) Done(r *machine.PairRegs) bool {
+	if r.Recover != 0 || r.AIdle != 0 {
+		// The A-stream is being recovered or has abandoned the region;
+		// drop the handshake so the R-stream cannot deadlock against an
+		// absent consumer.
+		return true
+	}
+	if r.SysPosted == r.SysTaken {
+		r.SchedLo, r.SchedHi = w.lo, w.hi
+		r.SysPosted++
+		return true
+	}
+	return false
 }
 
 // ATakeDecision blocks the A-stream until its R-stream publishes the next
 // scheduling decision, then consumes and returns it. The bool result is
 // false if a recovery request interrupted the wait.
 func (c *Controller) ATakeDecision(p *machine.Proc) (lo, hi int64, ok bool) {
-	p.SpinRegs(stats.CatSched, func(r *machine.PairRegs) bool {
-		if r.Recover != 0 {
-			return true
-		}
-		if r.SysPosted > r.SysTaken {
-			lo, hi, ok = r.SchedLo, r.SchedHi, true
-			r.SysTaken++
-			return true
-		}
-		return false
-	})
-	return lo, hi, ok
+	w := &c.waits[p.GID].take
+	*w = takeWait{}
+	p.SpinRegs(stats.CatSched, w)
+	return w.lo, w.hi, w.ok
+}
+
+// takeWait is ATakeDecision's test: stop on a recovery request, or take
+// the next posted decision.
+type takeWait struct {
+	lo, hi int64
+	ok     bool
+}
+
+func (w *takeWait) Done(r *machine.PairRegs) bool {
+	if r.Recover != 0 {
+		return true
+	}
+	if r.SysPosted > r.SysTaken {
+		w.lo, w.hi, w.ok = r.SchedLo, r.SchedHi, true
+		r.SysTaken++
+		return true
+	}
+	return false
 }
 
 // InjectDivergence forces a recovery request on p's pair (test/failure

@@ -16,6 +16,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/npb"
 	"repro/internal/omp"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -83,9 +84,10 @@ type Result struct {
 	Breakdown  stats.Breakdown
 	Class      stats.Class
 	Recoveries uint64
-	Faults     uint64 // faults injected by the run's plan (0 when unarmed)
-	TasksRun   uint64 // explicit tasks executed (0 for non-tasking kernels)
-	Steals     uint64 // task deque steals (0 for non-tasking kernels)
+	Faults     uint64       // faults injected by the run's plan (0 when unarmed)
+	TasksRun   uint64       // explicit tasks executed (0 for non-tasking kernels)
+	Steals     uint64       // task deque steals (0 for non-tasking kernels)
+	Engine     sim.Counters // engine events, switches and spin steps (benchmarks report them; no figure does)
 }
 
 // runConfig names one execution configuration of the suite.
@@ -140,6 +142,7 @@ func RunOne(k npb.Kernel, name string, cfg omp.Config, scale npb.Scale, verify b
 		Faults:     rt.FaultsInjected(),
 		TasksRun:   rt.TasksExecuted(),
 		Steals:     rt.TaskSteals(),
+		Engine:     rt.M.Eng.Counters(),
 	}, nil
 }
 

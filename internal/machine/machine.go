@@ -67,6 +67,8 @@ type Proc struct {
 	Pair      *Proc // partner processor on the same CMP
 	SelfInval bool  // A-stream reads send self-invalidation hints
 
+	spin spinner // SpinLoad/SpinRegs state, stepped in engine context
+
 	// Accounting.
 	Bd        stats.Breakdown
 	cat       stats.Category // category charged for wait cycles
@@ -140,6 +142,7 @@ func New(p Params) *Machine {
 				L1:   cache.New(fmt.Sprintf("L1.%d.%d", n, c), p.L1Bytes, p.L1Assoc, p.LineBytes),
 				cat:  stats.CatMem,
 			}
+			pr.spin.p = pr
 			nd.Procs[c] = pr
 			m.Procs = append(m.Procs, pr)
 		}
@@ -257,41 +260,108 @@ func (p *Proc) SetCategory(c stats.Category) stats.Category {
 	return old
 }
 
+// WordTest is SpinLoad's test of the polled word. Done runs in engine
+// context between polls: it may read and update simulator state but must
+// never park (no Load, Store, RMW or Wait).
+type WordTest interface{ Done() bool }
+
+// RegTest is SpinRegs' test of the pair registers, under WordTest's rule.
+type RegTest interface{ Done(*PairRegs) bool }
+
 // SpinLoad is the runtime's spin on a shared word: each poll is a timed
-// Load of addr, then done; while done reports false the processor waits
+// Load of addr, then t.Done; while that reports false the processor waits
 // SpinPollCycles and polls again. Every cycle is charged to cat, and the
-// previous category is restored on return. done may read and update
-// simulator state but must never park: no Load, Store, RMW or Wait runs
-// inside it.
-func (p *Proc) SpinLoad(cat stats.Category, addr shmem.Addr, done func() bool) {
+// previous category is restored on return. Pass a t allocated once, not
+// per wait: the polls themselves allocate nothing.
+func (p *Proc) SpinLoad(cat stats.Category, addr shmem.Addr, t WordTest) {
+	p.spin.addr, p.spin.word = addr, t
+	p.spinWait(cat)
+	p.spin.word = nil
+}
+
+// SpinRegs is SpinLoad on the CMP's pair registers: each poll is a
+// RegAccessCycles register access, then t.Done on the registers.
+func (p *Proc) SpinRegs(cat stats.Category, t RegTest) {
+	p.spin.regs = t
+	p.spinWait(cat)
+	p.spin.regs = nil
+}
+
+// spinWait runs the spin set up in p.spin. The goroutine issues the first
+// access and parks once in spin mode; from then on the engine steps the
+// spinner at each wake and switches back only when the test passes. Each
+// poll schedules the same events, issues the same accesses and charges the
+// same cycles as a loop of Load (or Wait) and Wait on the goroutine would.
+func (p *Proc) spinWait(cat stats.Category) {
 	old := p.SetCategory(cat)
-	for p.Load(addr); !done(); p.Load(addr) {
-		p.Wait(p.Node.M.P.SpinPollCycles)
+	s := &p.spin
+	// Start as if a zero-length poll wait just ended: Step issues the
+	// first access.
+	s.polling, s.phase = true, 0
+	if wait, done := s.Step(); !done {
+		p.Ctx.SpinPark(wait, s)
 	}
 	p.cat = old
 }
 
-// SpinRegs is SpinLoad on the CMP's pair registers: each poll is a
-// RegAccessCycles register access, then done on the registers. The same
-// rule holds: done must never park.
-func (p *Proc) SpinRegs(cat stats.Category, done func(*PairRegs) bool) {
-	old := p.SetCategory(cat)
-	reg := p.Node.M.P.RegAccessCycles
-	for p.Wait(reg); !done(&p.Node.Regs); p.Wait(reg) {
-		p.Wait(p.Node.M.P.SpinPollCycles)
+// spinner is a Proc's spin-wait state machine, allocated with the Proc.
+type spinner struct {
+	p       *Proc
+	addr    shmem.Addr // SpinLoad's word
+	word    WordTest   // SpinLoad's test; nil while SpinRegs spins
+	regs    RegTest    // SpinRegs' test
+	phase   sim.Time   // length of the phase in flight
+	polling bool       // the phase in flight is the poll wait, not the access
+}
+
+// Step settles the phase that just ended, then runs the spin until a
+// phase takes time (returning its length) or the test passes. Zero-length
+// phases run inline, as Advance(0) does not park.
+func (s *spinner) Step() (sim.Time, bool) {
+	p := s.p
+	for {
+		if s.polling {
+			p.Bd.Add(p.cat, s.phase) // as Wait charges it
+			s.polling = false
+			if s.word != nil {
+				s.phase = p.issueLoad(s.addr)
+			} else {
+				s.phase = p.Node.M.P.RegAccessCycles
+			}
+		} else {
+			if s.word != nil {
+				p.settle(s.phase)
+				if s.word.Done() {
+					return 0, true
+				}
+			} else {
+				p.Bd.Add(p.cat, s.phase)
+				if s.regs.Done(&p.Node.Regs) {
+					return 0, true
+				}
+			}
+			s.polling = true
+			s.phase = p.Node.M.P.SpinPollCycles
+		}
+		if s.phase > 0 {
+			return s.phase, false
+		}
 	}
-	p.cat = old
 }
 
 // Category returns the current wait category.
 func (p *Proc) Category() stats.Category { return p.cat }
 
 // Load performs a timed read of addr through the memory hierarchy.
-func (p *Proc) Load(addr shmem.Addr) {
+func (p *Proc) Load(addr shmem.Addr) { p.charge(p.issueLoad(addr)) }
+
+// issueLoad runs a read of addr through the hierarchy and returns the
+// latency to charge.
+func (p *Proc) issueLoad(addr shmem.Addr) sim.Time {
 	p.Loads++
 	lat := p.access(addr, false, false)
 	p.trace(trace.Load, addr, int64(lat))
-	p.charge(lat)
+	return lat
 }
 
 // trace records an access event when tracing is enabled.
@@ -329,16 +399,20 @@ func (p *Proc) Prefetch(addr shmem.Addr, excl bool) {
 	p.Compute(1)
 }
 
-// charge attributes a memory access latency: the L1-hit portion counts as
-// busy work, the remainder as a stall in the current category.
+// charge waits out a memory access latency and attributes it.
 func (p *Proc) charge(lat sim.Time) {
+	p.Ctx.Advance(lat)
+	p.settle(lat)
+}
+
+// settle attributes an access latency that has passed: the L1-hit portion
+// counts as busy work, the remainder as a stall in the current category.
+func (p *Proc) settle(lat sim.Time) {
 	hit := p.Node.M.P.L1HitCycles
 	if lat <= hit {
-		p.Ctx.Advance(lat)
 		p.Bd.Add(stats.CatBusy, lat)
 		return
 	}
-	p.Ctx.Advance(lat)
 	p.Bd.Add(stats.CatBusy, hit)
 	p.Bd.Add(p.cat, lat-hit)
 }

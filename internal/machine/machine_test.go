@@ -301,6 +301,17 @@ func TestBreakdownAccountsAllCycles(t *testing.T) {
 	}
 }
 
+// nthPoll is a spin test that passes on its nth poll.
+type nthPoll struct{ polls, n int }
+
+func (c *nthPoll) Done() bool { c.polls++; return c.polls == c.n }
+
+// nthRegPoll is nthPoll on the pair registers; every poll also posts a
+// decision, so the test's writes can be counted.
+type nthRegPoll struct{ nthPoll }
+
+func (c *nthRegPoll) Done(r *PairRegs) bool { r.SysPosted++; return c.nthPoll.Done() }
+
 // TestSpinPrimitivesPollAndCharge pins what one spin costs: SpinLoad
 // polls load-then-test and SpinRegs register-access-then-test, each
 // waiting SpinPollCycles between polls. Every stall goes to the spin's
@@ -312,13 +323,11 @@ func TestSpinPrimitivesPollAndCharge(t *testing.T) {
 	runOne(t, m, 0, func(p *Proc) {
 		p0 = p
 		p.Load(0) // the polls below hit in L1
-		polls := 0
 		start := p.Ctx.Now()
-		p.SpinLoad(stats.CatLock, 0, func() bool { polls++; return polls == 3 })
+		p.SpinLoad(stats.CatLock, 0, &nthPoll{n: 3})
 		loadSpin = p.Ctx.Now() - start
-		polls = 0
 		start = p.Ctx.Now()
-		p.SpinRegs(stats.CatSched, func(r *PairRegs) bool { polls++; r.SysPosted++; return polls == 3 })
+		p.SpinRegs(stats.CatSched, &nthRegPoll{nthPoll{n: 3}})
 		regSpin = p.Ctx.Now() - start
 		if c := p.Category(); c != stats.CatMem {
 			t.Errorf("category after the spins = %v, want %v", c, stats.CatMem)
@@ -338,6 +347,82 @@ func TestSpinPrimitivesPollAndCharge(t *testing.T) {
 	}
 	if got := p0.Node.Regs.SysPosted; got != 3 {
 		t.Errorf("SysPosted = %d, want the 3 updates made by done", got)
+	}
+}
+
+// spinEpisode runs one 4-poll spin of each kind on a fresh machine built
+// from p, and reports each spin's cycles and the engine events and
+// goroutine switches it cost.
+func spinEpisode(t *testing.T, p Params) (cycles, events, switches [2]uint64) {
+	t.Helper()
+	m := New(p)
+	var bd stats.Breakdown
+	var end sim.Time
+	runOne(t, m, 0, func(pr *Proc) {
+		pr.Load(0) // the polls below hit in L1
+		for k := 0; k < 2; k++ {
+			start, c0 := pr.Ctx.Now(), m.Eng.Counters()
+			if k == 0 {
+				pr.SpinLoad(stats.CatLock, 0, &nthPoll{n: 4})
+			} else {
+				pr.SpinRegs(stats.CatLock, &nthRegPoll{nthPoll{n: 4}})
+			}
+			c1 := m.Eng.Counters()
+			cycles[k] = pr.Ctx.Now() - start
+			events[k], switches[k] = c1.Events-c0.Events, c1.Switches-c0.Switches
+		}
+		bd, end = pr.Bd, pr.Ctx.Now()
+	})
+	if bd.Total() != end {
+		t.Errorf("breakdown holds %d cycles, want the %d that passed", bd.Total(), end)
+	}
+	return cycles, events, switches
+}
+
+// A spin parks its context once: however many polls it makes, the
+// goroutine is switched to only when the test passes, and each phase
+// that takes time is one engine event.
+func TestSpinEpisodeSwitchesOnce(t *testing.T) {
+	p := DefaultParams()
+	p.Nodes = 2
+	cycles, events, switches := spinEpisode(t, p)
+	if want := 4*p.L1HitCycles + 3*p.SpinPollCycles; cycles[0] != want {
+		t.Errorf("SpinLoad of 4 polls took %d cycles, want %d", cycles[0], want)
+	}
+	if want := 4*p.RegAccessCycles + 3*p.SpinPollCycles; cycles[1] != want {
+		t.Errorf("SpinRegs of 4 polls took %d cycles, want %d", cycles[1], want)
+	}
+	for k, name := range []string{"SpinLoad", "SpinRegs"} {
+		if events[k] != 7 || switches[k] != 1 {
+			t.Errorf("%s of 4 polls: %d events and %d switches, want 7 and 1", name, events[k], switches[k])
+		}
+	}
+}
+
+// Zero-length spin phases run inline, as Advance(0) does: a poll wait or
+// register access of 0 cycles schedules no event and costs no cycles, and
+// a spin whose phases all take 0 cycles never parks.
+func TestSpinZeroLengthPhases(t *testing.T) {
+	p := DefaultParams()
+	p.Nodes = 2
+	p.SpinPollCycles = 0
+	cycles, events, switches := spinEpisode(t, p)
+	if want := 4 * p.L1HitCycles; cycles[0] != want || events[0] != 4 || switches[0] != 1 {
+		t.Errorf("SpinLoad with 0-cycle polls: %d cycles, %d events, %d switches; want %d, 4, 1",
+			cycles[0], events[0], switches[0], want)
+	}
+	if want := 4 * p.RegAccessCycles; cycles[1] != want || events[1] != 4 || switches[1] != 1 {
+		t.Errorf("SpinRegs with 0-cycle polls: %d cycles, %d events, %d switches; want %d, 4, 1",
+			cycles[1], events[1], switches[1], want)
+	}
+	p.RegAccessCycles = 0
+	if _, events, switches := spinEpisode(t, p); events[1] != 0 || switches[1] != 0 {
+		t.Errorf("SpinRegs with 0-cycle phases: %d events, %d switches; want none", events[1], switches[1])
+	}
+	p.SpinPollCycles = DefaultParams().SpinPollCycles
+	cycles, events, _ = spinEpisode(t, p)
+	if want := 3 * p.SpinPollCycles; cycles[1] != want || events[1] != 3 {
+		t.Errorf("SpinRegs with 0-cycle accesses: %d cycles, %d events; want %d, 3", cycles[1], events[1], want)
 	}
 }
 

@@ -246,17 +246,27 @@ func (rt *Runtime) terminate(master *Thread) {
 // Job-wait spinning is attributed to the jobwait category (Figure 2/4).
 func (rt *Runtime) slaveLoop(t *Thread) {
 	for {
-		var seq int64
-		t.P.SpinLoad(stats.CatJobWait, rt.jobSeq.Addr(0), func() bool {
-			seq = rt.jobSeq.Get(0)
-			return seq < 0 || seq > t.lastSeq
-		})
+		t.jobWait = jobFlag{w: rt.jobSeq, last: t.lastSeq}
+		t.P.SpinLoad(stats.CatJobWait, rt.jobSeq.Addr(0), &t.jobWait)
+		seq := t.jobWait.seq
 		if seq < 0 {
 			return
 		}
 		t.lastSeq = seq
 		t.runRegion(rt.jobs[seq], seq)
 	}
+}
+
+// jobFlag is the slave pool's spin test: the job word holds a region
+// newer than last, or the end sentinel. It keeps the value it read.
+type jobFlag struct {
+	w         *shmem.I64
+	last, seq int64
+}
+
+func (j *jobFlag) Done() bool {
+	j.seq = j.w.Get(0)
+	return j.seq < 0 || j.seq > j.last
 }
 
 // Parallel opens a parallel region executing body on every team thread

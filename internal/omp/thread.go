@@ -32,6 +32,26 @@ type Thread struct {
 	curTask    int32 // currently executing task ID (implicit = id+1)
 	barSense   int64
 	lastSeq    int64
+
+	// The thread's spin tests. The machine steps them between polls, so
+	// they live here, allocated once: a closure per wait would allocate.
+	wordWait wordIs
+	jobWait  jobFlag
+}
+
+// wordIs is a spin test: word [0] of w equals want.
+type wordIs struct {
+	w    *shmem.I64
+	want int64
+}
+
+func (s *wordIs) Done() bool { return s.w.Get(0) == s.want }
+
+// spinUntil spins on word [0] of w until it equals want, charging the
+// wait to cat.
+func (t *Thread) spinUntil(cat stats.Category, w *shmem.I64, want int64) {
+	t.wordWait = wordIs{w: w, want: want}
+	t.P.SpinLoad(cat, w.Addr(0), &t.wordWait)
 }
 
 // ID returns the OpenMP thread number (shared by an A–R pair).
@@ -168,7 +188,7 @@ func (t *Thread) teamBarrier() {
 		t.P.Store(rt.barSense.Addr(0))
 		rt.barSense.Set(0, mySense)
 	} else {
-		t.P.SpinLoad(stats.CatBarrier, rt.barSense.Addr(0), func() bool { return rt.barSense.Get(0) == mySense })
+		t.spinUntil(stats.CatBarrier, rt.barSense, mySense)
 	}
 	t.barSense = mySense
 	t.P.SetCategory(old)
@@ -288,7 +308,7 @@ func (t *Thread) ForOrdered(lo, hi int, body func(i int, ordered func(func()))) 
 		if t.isA || t.abandoned {
 			return
 		}
-		t.P.SpinLoad(stats.CatLock, cell.Addr(0), func() bool { return cell.Get(0) == int64(cur) })
+		t.spinUntil(stats.CatLock, cell, int64(cur))
 		fn()
 		t.P.Store(cell.Addr(0))
 		cell.Set(0, int64(cur)+1)
@@ -408,7 +428,7 @@ type Lock struct {
 func (t *Thread) lockAcquire(l *Lock, cat stats.Category) {
 	old := t.P.SetCategory(cat)
 	for {
-		t.P.SpinLoad(cat, l.w.Addr(0), func() bool { return l.w.Get(0) == 0 })
+		t.spinUntil(cat, l.w, 0)
 		t.P.RMW(l.w.Addr(0))
 		if l.w.Get(0) == 0 {
 			break

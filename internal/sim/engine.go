@@ -3,13 +3,20 @@
 //
 // The engine drives a set of contexts (simulated processors). Exactly one
 // context runs at any instant: the engine pops the earliest event from its
-// heap, transfers control to the owning context, and the context runs real
-// Go code until it needs simulated time to pass, at which point it parks
+// heap and hands it to the owning context, and the context runs real Go
+// code until it needs simulated time to pass, at which point it parks
 // itself and control returns to the engine. Ties in event time are broken
 // by event sequence number, so a given program produces an identical event
 // order on every run. Because only one context executes at a time, code
 // running inside contexts may freely share simulator data structures
 // without locks.
+//
+// Not every event transfers control. A context parked in spin mode
+// (Context.SpinPark) has its wakes handled by a Spinner that the engine
+// steps on its own goroutine; the context's goroutine runs again only at
+// the wake where the spinner's wait is over. A spin-wait of n polls thus
+// costs one goroutine switch instead of n, and schedules the same events
+// it would have scheduled from the goroutine.
 //
 // The event heap and context plumbing are allocation-free on the hot path:
 // events are plain values in a concrete 4-ary heap (no container/heap
@@ -109,7 +116,19 @@ type Engine struct {
 	contexts []*Context
 	yield    chan struct{} // contexts signal the engine here when parking
 	running  bool
+	count    Counters
 }
+
+// Counters are an engine's running totals since NewEngine.
+type Counters struct {
+	Events    uint64 // events popped from the heap
+	Switches  uint64 // transfers of control to a context's goroutine (teardown excluded)
+	SpinSteps uint64 // wakes a Spinner handled in engine context
+}
+
+// Counters returns the engine's totals. Read them between runs, or from a
+// context or callback of a running engine.
+func (e *Engine) Counters() Counters { return e.count }
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
@@ -163,6 +182,7 @@ func (e *Engine) Run() error {
 	for len(e.events.ev) > 0 {
 		ev := e.events.pop()
 		e.now = ev.at
+		e.count.Events++
 		if ev.fn != nil {
 			ev.fn()
 			continue
@@ -171,6 +191,20 @@ func (e *Engine) Run() error {
 		if c.finished {
 			continue
 		}
+		if c.spin != nil {
+			e.count.SpinSteps++
+			wait, done := c.step()
+			if c.panicked != nil {
+				e.teardown()
+				return c.panicked
+			}
+			if !done {
+				e.schedule(e.now+wait, c, nil)
+				continue
+			}
+			c.spin = nil
+		}
+		e.count.Switches++
 		c.run <- struct{}{}
 		<-e.yield
 		if c.panicked != nil {
@@ -316,6 +350,18 @@ type PanicError struct {
 	Stack   []byte // the panicking goroutine's stack
 }
 
+// step runs the context's Spinner at a wake. A panic in Step is recorded
+// on the context as its *PanicError, as runBody records a body's, so it
+// fails the run instead of unwinding Engine.Run.
+func (c *Context) step() (wait Time, done bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.panicked = &PanicError{Context: c.name, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return c.spin.Step()
+}
+
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("sim: context %q panicked: %v", e.Context, e.Value)
 }
@@ -326,9 +372,20 @@ type Context struct {
 	name     string
 	run      chan struct{} // the bound worker's dispatch channel
 	fn       func(*Context)
+	spin     Spinner // non-nil while parked in spin mode
 	finished bool
 	aborted  bool
-	panicked *PanicError // set when the body panicked
+	panicked *PanicError // set when the body or its Spinner panicked
+}
+
+// Spinner is a wait that runs in engine context while its context is
+// parked in spin mode (see SpinPark).
+type Spinner interface {
+	// Step runs at each wake of the parked context. It returns done to
+	// resume the context's goroutine at this same event, or else the
+	// cycles until the next wake, which the engine schedules as Advance
+	// would. Step must not park.
+	Step() (wait Time, done bool)
 }
 
 // Name returns the context's debug name.
@@ -355,6 +412,16 @@ func (c *Context) Advance(d Time) {
 	if d == 0 {
 		return
 	}
+	c.eng.schedule(c.eng.now+d, c, nil)
+	c.park()
+}
+
+// SpinPark parks the context for d > 0 cycles in spin mode: at that wake
+// and every later one the engine calls s.Step instead of switching to the
+// goroutine, and returns to the goroutine only at the wake where Step
+// reports done. A zero-length phase must run inline, before SpinPark.
+func (c *Context) SpinPark(d Time, s Spinner) {
+	c.spin = s
 	c.eng.schedule(c.eng.now+d, c, nil)
 	c.park()
 }

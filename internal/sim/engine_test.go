@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -447,5 +448,174 @@ func TestContextPanicFailsRun(t *testing.T) {
 	runtime.GC()
 	if after := runtime.NumGoroutine(); after > before+10 {
 		t.Fatalf("goroutines grew %d -> %d over %d panicking runs", before, after, runs)
+	}
+}
+
+// countdown is a Spinner that waits gap cycles between wakes and is done
+// at its nth; a negative boom panics at that wake instead.
+type countdown struct {
+	n, boom int
+	gap     Time
+	steps   int
+}
+
+func (s *countdown) Step() (Time, bool) {
+	s.steps++
+	if s.steps == -s.boom {
+		panic("spinner bug")
+	}
+	return s.gap, s.steps == s.n
+}
+
+// A context in spin mode is switched to once per episode, however many
+// wakes the spinner handles: an n-wake spin costs n events and n spin
+// steps but one switch, and resumes at the wake where the spinner is done.
+func TestSpinParkSwitchesOnce(t *testing.T) {
+	const n = 50
+	e := NewEngine()
+	s := &countdown{n: n, gap: 3}
+	var resumed Time
+	var during Counters
+	e.Spawn("spinner", 0, func(c *Context) {
+		before := c.Engine().Counters()
+		c.SpinPark(3, s)
+		resumed = c.Now()
+		after := c.Engine().Counters()
+		during = Counters{after.Events - before.Events, after.Switches - before.Switches, after.SpinSteps - before.SpinSteps}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Counters{Events: n, Switches: 1, SpinSteps: n}); during != want {
+		t.Fatalf("spin episode counted %+v, want %+v", during, want)
+	}
+	if want := Time(3 * n); resumed != want {
+		t.Fatalf("context resumed at t=%d, want %d", resumed, want)
+	}
+	if got := e.Counters(); got.Switches != 2 || got.Events != n+1 {
+		t.Fatalf("run counted %+v, want %d events and 2 switches (start, resume)", got, n+1)
+	}
+}
+
+// Spinner wakes interleave with other events by (at, seq) exactly as the
+// goroutine's own Advance calls would.
+func TestSpinParkKeepsEventOrder(t *testing.T) {
+	run := func(spin bool) []string {
+		e := NewEngine()
+		var trace []string
+		e.Spawn("a", 0, func(c *Context) {
+			if spin {
+				c.SpinPark(4, &countdown{n: 3, gap: 4})
+			} else {
+				for i := 0; i < 3; i++ {
+					c.Advance(4)
+				}
+			}
+			trace = append(trace, fmt.Sprintf("a@%d", c.Now()))
+		})
+		e.Spawn("b", 0, func(c *Context) {
+			for i := 0; i < 4; i++ {
+				c.Advance(4)
+				trace = append(trace, fmt.Sprintf("b@%d", c.Now()))
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return trace
+	}
+	if got, want := fmt.Sprint(run(true)), fmt.Sprint(run(false)); got != want {
+		t.Fatalf("spin-mode order %s, goroutine order %s", got, want)
+	}
+}
+
+// A panic inside Step fails the run as that context's *PanicError, like a
+// body panic: Run returns instead of unwinding, every context is torn
+// down, and repeated runs do not leak goroutines.
+func TestSpinnerPanicFailsRun(t *testing.T) {
+	run := func() {
+		e := NewEngine()
+		e.Spawn("parked", 0, func(c *Context) { c.Advance(100) })
+		e.Spawn("spinner", 0, func(c *Context) { c.SpinPark(1, &countdown{n: 10, boom: -3, gap: 1}) })
+		err := e.Run()
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Context != "spinner" || pe.Value != "spinner bug" {
+			t.Fatalf("Run = %v, want the spinner's panic as context spinner's *PanicError", err)
+		}
+		if !strings.Contains(string(pe.Stack), "countdown") {
+			t.Fatalf("recorded stack does not reach the panicking Step:\n%s", pe.Stack)
+		}
+		if !e.Finished() {
+			t.Fatal("spinner panic left unfinished contexts")
+		}
+	}
+	run() // warm the worker pool
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		run()
+	}
+	runtime.GC()
+	if after := runtime.NumGoroutine(); after > before+10 {
+		t.Fatalf("goroutines grew %d -> %d over 50 spinner-panic runs", before, after)
+	}
+}
+
+// A context parked in spin mode with no pending wake is a deadlock like
+// any other: Run reports it and teardown unwinds the context, running its
+// deferred cleanups.
+func TestSpinParkedDeadlockTearsDown(t *testing.T) {
+	e := NewEngine()
+	cleaned := false
+	e.Spawn("stuck", 0, func(c *Context) {
+		defer func() { cleaned = true }()
+		c.spin = &countdown{n: 1}
+		c.park()
+	})
+	if err := e.Run(); err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("Run = %v, want a deadlock", err)
+	}
+	if !cleaned || !e.Finished() {
+		t.Fatalf("teardown of the spin-parked context: cleaned=%v finished=%v", cleaned, e.Finished())
+	}
+}
+
+// closeSpinParked parks a context in spin mode mid-episode, then closes
+// the engine: the context must unwind without being resumed or stepped.
+func closeSpinParked(t *testing.T) {
+	t.Helper()
+	e := NewEngine()
+	s := &countdown{n: 5, gap: 1}
+	resumed := false
+	c := e.Spawn("spinner", 0, func(c *Context) {
+		c.SpinPark(1, s)
+		resumed = true
+	})
+	// Dispatch the start event by hand, as Run would, so the context
+	// parks in spin mode with its first wake pending.
+	e.now = e.events.pop().at
+	c.run <- struct{}{}
+	<-e.yield
+	if c.spin == nil || len(e.events.ev) != 1 {
+		t.Fatalf("context not parked in spin mode (spin=%v, %d events)", c.spin, len(e.events.ev))
+	}
+	e.Close()
+	if resumed || s.steps != 0 || !e.Finished() {
+		t.Fatalf("Close: resumed=%v steps=%d finished=%v", resumed, s.steps, e.Finished())
+	}
+}
+
+// Close unwinds a context parked in spin mode and returns its worker to
+// the pool: repeated closes do not accumulate goroutines.
+func TestCloseReleasesSpinParkedContext(t *testing.T) {
+	closeSpinParked(t) // warm the worker pool
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		closeSpinParked(t)
+	}
+	runtime.GC()
+	if after := runtime.NumGoroutine(); after > before+10 {
+		t.Fatalf("goroutines grew %d -> %d over 50 closes of a spin-parked context", before, after)
 	}
 }

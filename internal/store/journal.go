@@ -105,7 +105,8 @@ const DefaultSegmentBytes = 4 << 20
 // state alone is larger than maxSeg. Open cannot tell a replayed
 // segment's compacted prefix from the transitions appended after it, so
 // it counts the whole segment as appended: a restart over a segment past
-// maxSeg compacts once, on its first append, and amortizes from there.
+// maxSeg compacts inside Open, before the caller serves anything, and
+// amortizes from there.
 type Journal struct {
 	mu     sync.Mutex
 	dir    string
@@ -114,7 +115,7 @@ type Journal struct {
 	f         *os.File // active segment, opened O_APPEND
 	segSeq    int
 	segBytes  int64
-	compacted int64 // bytes the last compaction wrote (0 after Open)
+	compacted int64 // bytes the last compaction wrote (0 until one runs)
 	total     int64 // bytes across all live segments
 
 	folded map[string]Record
@@ -128,7 +129,9 @@ type Journal struct {
 // returns the folded per-job records in first-seen order. A corrupt tail
 // — truncated frame, bit-flipped checksum, interleaved garbage — is cut
 // off at the last good record: the bad bytes are truncated away so later
-// appends land on a clean replayable log. maxSegmentBytes <= 0 takes
+// appends land on a clean replayable log. A replayed segment past
+// maxSegmentBytes is compacted before Open returns, so no append after a
+// restart pays for that rewrite. maxSegmentBytes <= 0 takes
 // DefaultSegmentBytes.
 func Open(dir string, maxSegmentBytes int64) (*Journal, []Record, error) {
 	if maxSegmentBytes <= 0 {
@@ -183,6 +186,15 @@ func Open(dir string, maxSegmentBytes int64) (*Journal, []Record, error) {
 		return nil, nil, err
 	}
 	j.f = f
+	if j.compactDue() {
+		// A failed compaction fails the open. One that completed but could
+		// not fsync the directory stands, as it does on Append.
+		seq := j.segSeq
+		if err := j.compactLocked(); err != nil && j.segSeq == seq {
+			f.Close()
+			return nil, nil, err
+		}
+	}
 
 	out := make([]Record, 0, len(j.order))
 	for _, id := range j.order {
@@ -254,10 +266,16 @@ func (j *Journal) Append(r Record, sync bool) error {
 			return err
 		}
 	}
-	if j.segBytes-j.compacted > max(j.maxSeg, j.compacted) {
+	if j.compactDue() {
 		return j.compactLocked()
 	}
 	return nil
+}
+
+// compactDue reports whether the bytes appended since the last compaction
+// exceed both maxSeg and what that compaction wrote.
+func (j *Journal) compactDue() bool {
+	return j.segBytes-j.compacted > max(j.maxSeg, j.compacted)
 }
 
 // Compact rewrites the journal as one folded record per job — the whole

@@ -215,6 +215,42 @@ func TestJournalCompactionAmortized(t *testing.T) {
 	}
 }
 
+// TestJournalOpenCompactsLongSegment: a restart over a segment past
+// maxSeg compacts inside Open, leaving one compacted segment, so the first
+// Append after the restart (in slipd, a request holding the server lock)
+// does not pay for the rewrite.
+func TestJournalOpenCompactsLongSegment(t *testing.T) {
+	const maxSeg = 4096
+	dir := t.TempDir()
+	j, _ := openT(t, dir, 1<<20) // a segment limit the history stays under
+	for i := 0; i < 200; i++ {
+		mustAppend(t, j, Record{Job: fmt.Sprintf("job-%d", i%4), State: "running", Attempts: 1}, false)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := j.segments(); len(segs) != 1 || segs[0].size <= maxSeg {
+		t.Fatalf("setup: want one segment past %d bytes, have %+v", maxSeg, segs)
+	}
+
+	j, recs := openT(t, dir, maxSeg)
+	if len(recs) != 4 {
+		t.Fatalf("replay returned %d jobs, want 4", len(recs))
+	}
+	segs, err := j.segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 || segs[0].seq != j.segSeq || j.compacted == 0 || segs[0].size != j.compacted {
+		t.Fatalf("after Open: segments %+v, compacted %d; want one segment of the compacted bytes", segs, j.compacted)
+	}
+	seq := j.segSeq
+	mustAppend(t, j, Record{Job: "job-0", State: "done", Attempts: 1}, true)
+	if j.segSeq != seq {
+		t.Fatalf("the first Append after Open compacted (segment %d -> %d)", seq, j.segSeq)
+	}
+}
+
 // TestJournalReopenKeepsCompacting: a journal restarted often, each run
 // appending less than maxSeg, must still compact. This is the claims
 // journal's life: every lease renewal appends a record for a claim the

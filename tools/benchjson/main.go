@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -52,6 +53,11 @@ func main() {
 //	BenchmarkName-8   10   123456 ns/op   512 B/op   7 allocs/op
 //
 // echoing every line through so the human-readable stream survives.
+// Names are recorded without the "-N" that go test appends when
+// GOMAXPROCS is N > 1, so a baseline recorded on one host compares by
+// name with a candidate run on another (CI pins GOMAXPROCS=4).
+// benchjson reads the GOMAXPROCS of its own process, which `make bench`
+// runs in the same environment as the go test it reads.
 func parse(f *os.File) ([]Bench, error) {
 	var benches []Bench
 	sc := bufio.NewScanner(f)
@@ -67,7 +73,7 @@ func parse(f *os.File) ([]Bench, error) {
 		if err != nil {
 			continue
 		}
-		b := Bench{Name: fields[0], Iterations: iters}
+		b := Bench{Name: trimProcs(fields[0], runtime.GOMAXPROCS(0)), Iterations: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			val := fields[i]
 			switch fields[i+1] {
@@ -87,4 +93,13 @@ func parse(f *os.File) ([]Bench, error) {
 		benches = append(benches, b)
 	}
 	return benches, sc.Err()
+}
+
+// trimProcs removes the "-procs" suffix go test gives benchmark names
+// when GOMAXPROCS is procs > 1.
+func trimProcs(name string, procs int) string {
+	if procs <= 1 {
+		return name
+	}
+	return strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
 }
