@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short vet fmt-check race verify golden golden-paper bench bench-check smoke smoke-fleet smoke-ha smoke-overload fuzz sim-cluster sim-cluster-deep
+.PHONY: build test test-short vet fmt-check perfbench-check race verify golden golden-paper bench bench-check smoke smoke-fleet smoke-ha smoke-overload fuzz sim-cluster sim-cluster-deep
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# perfbench is a nested module, so `go build ./...` and `go vet ./...`
+# at the root never compile it. This vets it and runs its short tests
+# against the current tree (its go.mod replaces repro with ../), so an
+# API change perfbench depends on fails here, not in a benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
 # The experiment runner, pool, validate checkup, slipd server, journal
 # store, fleet coordinator, the sim engine's pooled context workers, the
 # omp task deques (concurrent steals under injected stragglers), and the
@@ -37,16 +44,20 @@ race:
 
 verify: build test vet race
 
-# Golden gate: one file per slipd job kind under $(GOLDEN), the bytes of
-# that kind's test-scale study. TestGolden (internal/server, part of `go
-# test ./...`) checks slipd's execute against them; this target checks
-# that the CLIs print the same bytes: the five sweep studies at -jobs 1
-# and 8, slipsim's Figures 2-3 (static) and 4-5 (dynamic), and one
-# slipsim run minus the result norm/protocol lines slipd omits. A change
-# that moves any of these bytes regenerates the goldens (go test
-# ./internal/server -run TestGolden -update) and bumps CacheKeyVersion
-# in internal/server/spec.go in the same PR, so stale cached results stop
-# matching.
+# Golden gate: one pair per slipd job kind under $(GOLDEN), a test-scale
+# spec (<kind>.json) and the bytes it renders (<kind>.txt). TestGolden
+# (internal/server, part of `go test ./...`) executes each spec through
+# experiments.Compile and Study.Execute, the path sweep runs too, and
+# cmd/sweep's TestGoldenInvocationsKeyAsTestGolden checks that each sweep
+# line below compiles to its golden spec's cache key. This target checks
+# the CLI binaries end to end: the five sweep studies at -jobs 1 and 8
+# (sweep's own flag mapping and stdout), slipsim's Figures 2-3 (static)
+# and 4-5 (dynamic), and one slipsim run minus the result norm/protocol
+# lines slipd omits; slipsim keeps its own experiment and single-run
+# paths. A change that moves any of these bytes regenerates the goldens
+# (go test ./internal/server -run TestGolden -update) and bumps
+# CacheKeyVersion in internal/server/spec.go in the same change, so
+# stale cached results stop matching.
 GOLDEN := internal/server/testdata/golden
 golden:
 	mkdir -p bin

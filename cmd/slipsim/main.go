@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -135,7 +136,7 @@ func runExperiment(name string, opts experiments.Options, csvPath string, quiet 
 		}
 	}
 	if needDynamic {
-		if dynamic, err = experiments.RunDynamic(opts, progress); err != nil {
+		if dynamic, err = experiments.RunDynamicCtx(context.Background(), opts, progress); err != nil {
 			return err
 		}
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -23,7 +24,7 @@ func main() {
 	}
 	// jobs = 0: fan the independent (machine size × mode) runs out over
 	// every host CPU; the rows come back in deterministic order anyway.
-	rows, err := experiments.RunScaling(kernel, []int{2, 4, 8, 16}, npb.ScaleSmall, 0, true, os.Stderr)
+	rows, err := experiments.RunScalingCtx(context.Background(), kernel, []int{2, 4, 8, 16}, npb.ScaleSmall, 0, true, os.Stderr)
 	if err != nil {
 		log.Fatal(err)
 	}

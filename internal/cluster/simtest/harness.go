@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/cluster/netchaos"
+	"repro/internal/experiments"
 	"repro/internal/faults/splitmix"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -430,7 +431,7 @@ func Run(opts Options) (Report, error) {
 	// the key and reference bytes derive from the normalized encoding
 	// exactly as Dispatch produces it.
 	for i := 0; i < opts.Jobs; i++ {
-		spec := server.JobSpec{Kind: "run", Kernel: "CG", Tokens: i + 1}
+		spec := server.JobSpec{Spec: experiments.Spec{Kind: experiments.KindRun, Kernel: "CG", Tokens: i + 1}}
 		specJSON, err := json.Marshal(spec)
 		if err != nil {
 			return rep, fmt.Errorf("marshal sim spec: %w", err)

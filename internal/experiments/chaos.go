@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -36,7 +35,7 @@ type ChaosRow struct {
 // ChaosSuite holds a chaos sweep's results.
 type ChaosSuite struct {
 	Plan    faults.Config // seed and class subset (Rate varies per row)
-	Rates   []float64     // normalized: ascending, deduped, 0 included
+	Rates   []float64     // ascending, distinct, 0 first
 	Kernels []string      // report order
 	Rows    map[string][]ChaosRow
 	Errors  []CellError
@@ -50,48 +49,20 @@ func (s *ChaosSuite) Err() error {
 	return joinCellErrors(s.Errors)
 }
 
-// normalizeRates sorts, dedupes, and guarantees the fault-free baseline
-// rate 0 every slowdown is computed against.
-func normalizeRates(rates []float64) []float64 {
-	seen := map[float64]bool{0: true}
-	out := []float64{0}
-	for _, r := range rates {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	sort.Float64s(out)
-	return out
-}
-
-// RunChaos sweeps the fault plan across rates for every kernel in o's
-// filter. plan.Rate is ignored; each rate in rates (plus the implicit
-// fault-free 0) runs the full plan at that rate. Verification is forced
-// on regardless of o.Verify.
-func RunChaos(o Options, plan faults.Config, rates []float64, progress io.Writer) (*ChaosSuite, error) {
-	return RunChaosCtx(context.Background(), o, plan, rates, progress)
-}
-
-// RunChaosCtx is RunChaos with cancellation, with the same partial-result
-// semantics as the other suite runners: cells run on up to o.Jobs workers
-// and are collected in matrix order, so reports are byte-identical at any
-// concurrency.
+// RunChaosCtx sweeps the fault plan across rates for every kernel in
+// o's filter: each rate runs the full plan at that rate (plan.Rate is
+// ignored), and rate 0 runs fault-free. The rates come as Compile
+// normalizes them: ascending, distinct, each a valid plan rate, with the
+// baseline 0 first. Verification is forced on regardless of o.Verify.
+// Cells run on up to o.Jobs workers and are collected in matrix order,
+// so reports are byte-identical at any concurrency; cancelling ctx
+// aborts the cells not yet started, as in the other suite runners.
 func RunChaosCtx(ctx context.Context, o Options, plan faults.Config, rates []float64, progress io.Writer) (*ChaosSuite, error) {
-	plan.Rate = 0
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	for _, r := range rates {
-		if r < 0 || r > 1 {
-			return nil, fmt.Errorf("chaos: rate %g outside [0, 1]", r)
-		}
-	}
 	ks, err := o.kernels()
 	if err != nil {
 		return nil, err
 	}
-	s := &ChaosSuite{Plan: plan, Rates: normalizeRates(rates), Rows: map[string][]ChaosRow{}}
+	s := &ChaosSuite{Plan: plan, Rates: rates, Rows: map[string][]ChaosRow{}}
 	p := o.params()
 
 	type cell struct {
@@ -147,30 +118,18 @@ func RunChaosCtx(ctx context.Context, o Options, plan faults.Config, rates []flo
 	return s, nil
 }
 
-// TotalFaults sums the injected-fault counts across all cells.
-func (s *ChaosSuite) TotalFaults() uint64 {
-	var t uint64
+// Totals sums the injected faults and the divergence recoveries across
+// all cells.
+func (s *ChaosSuite) Totals() (injected, recoveries uint64) {
 	for _, rows := range s.Rows {
 		for _, row := range rows {
 			for _, r := range row.Results {
-				t += r.Faults
+				injected += r.Faults
+				recoveries += r.Recoveries
 			}
 		}
 	}
-	return t
-}
-
-// TotalRecoveries sums the divergence recoveries across all cells.
-func (s *ChaosSuite) TotalRecoveries() uint64 {
-	var t uint64
-	for _, rows := range s.Rows {
-		for _, row := range rows {
-			for _, r := range row.Results {
-				t += r.Recoveries
-			}
-		}
-	}
-	return t
+	return injected, recoveries
 }
 
 // classList names the plan's armed classes ("all" when unrestricted).

@@ -2,32 +2,27 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
-
-	"repro/internal/faults"
-	"repro/internal/npb"
 )
 
-func chaosOpts(jobs int) Options {
-	return Options{Nodes: 4, Scale: npb.ScaleTest, Kernels: []string{"CG"}, Jobs: jobs}
+// chaosStudy compiles a CG chaos sweep on 4 CMPs at test scale.
+func chaosStudy(t *testing.T, seed uint64, rates ...float64) *Study {
+	t.Helper()
+	return mustCompile(t, Spec{Kind: KindChaos, Kernels: []string{"CG"}, Nodes: 4, Scale: "test",
+		Faults: &FaultSpec{Seed: seed, Rates: rates}})
 }
 
 // The acceptance bar for the chaos suite: the same seed and rates render
 // byte-identical reports at any -jobs value.
 func TestChaosDeterministicAtAnyJobs(t *testing.T) {
-	plan := faults.Config{Seed: 42}
-	rates := []float64{0.5}
+	st := chaosStudy(t, 42, 0.5)
 	render := func(jobs int) string {
-		s, err := RunChaos(chaosOpts(jobs), plan, rates, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Err(); err != nil {
+		var buf bytes.Buffer
+		if _, _, err := st.Execute(context.Background(), jobs, &buf, nil); err != nil {
 			t.Fatalf("chaos cells failed: %v", err)
 		}
-		var buf bytes.Buffer
-		s.Curves(&buf)
 		return buf.String()
 	}
 	seq := render(1)
@@ -43,21 +38,23 @@ func TestChaosDeterministicAtAnyJobs(t *testing.T) {
 // Every injected-fault run must still pass result verification, and at an
 // aggressive rate the recovery path must actually fire.
 func TestChaosInjectsAndStillVerifies(t *testing.T) {
-	s, err := RunChaos(chaosOpts(0), faults.Config{Seed: 7}, []float64{0.5}, nil)
+	st := chaosStudy(t, 7, 0.5)
+	s, err := RunChaosCtx(context.Background(), st.opts, *st.faults, st.Spec.Faults.Rates, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Err(); err != nil {
 		t.Fatalf("verification failed under injection: %v", err)
 	}
-	if s.TotalFaults() == 0 {
+	injected, recoveries := s.Totals()
+	if injected == 0 {
 		t.Fatal("rate 0.5 injected no faults")
 	}
-	if s.TotalRecoveries() == 0 {
+	if recoveries == 0 {
 		t.Fatal("rate 0.5 triggered no divergence recoveries")
 	}
 	// The fault-free baseline row must be clean even though only rate 0.5
-	// was requested (rate 0 is implicit).
+	// was requested (Compile adds rate 0).
 	rows := s.Rows["CG"]
 	if len(rows) != 2 || rows[0].Rate != 0 || rows[1].Rate != 0.5 {
 		t.Fatalf("rows = %+v", rows)
@@ -72,16 +69,25 @@ func TestChaosInjectsAndStillVerifies(t *testing.T) {
 	}
 }
 
+// Compile is the one validator of a chaos plan: the runner takes its
+// normalized rates and plan as given.
 func TestChaosRejectsBadPlan(t *testing.T) {
-	if _, err := RunChaos(chaosOpts(1), faults.Config{Seed: 1}, []float64{2}, nil); err == nil {
-		t.Fatal("rate 2 accepted")
-	}
-	if _, err := RunChaos(chaosOpts(1), faults.Config{Seed: 1, Classes: []faults.Class{faults.Class(99)}}, nil, nil); err == nil {
-		t.Fatal("class 99 accepted")
-	}
-	bad := chaosOpts(1)
-	bad.Kernels = []string{"nope"}
-	if _, err := RunChaos(bad, faults.Config{Seed: 1}, nil, nil); err == nil {
-		t.Fatal("unknown kernel accepted")
+	for _, tc := range []struct {
+		name    string
+		kernels []string
+		fs      *FaultSpec
+		want    string
+	}{
+		{"rate 2", nil, &FaultSpec{Seed: 1, Rates: []float64{2}}, "rate 2 outside [0, 1]"},
+		{"negative rate", nil, &FaultSpec{Seed: 1, Rates: []float64{0.1, -0.5}}, "rate -0.5 outside [0, 1]"},
+		{"unknown class", nil, &FaultSpec{Seed: 1, Classes: []string{"token", "nope"}}, `unknown class "nope"`},
+		{"unknown kernel", []string{"nope"}, &FaultSpec{Seed: 1}, `unknown kernel "nope"`},
+		{"single rate", nil, &FaultSpec{Seed: 1, Rate: 0.5}, "faults.rates, not faults.rate"},
+		{"too many rates", nil, &FaultSpec{Seed: 1, Rates: make([]float64, maxChaosRates+1)}, "maximum 32"},
+	} {
+		_, err := Compile(Spec{Kind: KindChaos, Kernels: tc.kernels, Faults: tc.fs})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Compile error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -18,7 +18,7 @@ type CharRow struct {
 	Winner   string
 }
 
-// Characterize runs every synthetic workload under the four static-
+// CharacterizeCtx runs every synthetic workload under the four static-
 // scheduling configurations and reports which execution mode wins — the
 // workload-type → best-mode map that frames where slipstream pays off
 // (communication-bound patterns) and where it does not (embarrassingly
@@ -26,14 +26,8 @@ type CharRow struct {
 // (workload × config) cells run on up to jobs workers (0 = one per host
 // CPU); rows come back in synth.Names order with the winner resolved by
 // the fixed config order, so output is identical at any concurrency.
-// Failed cells are dropped from their row and aggregated into the
-// returned error.
-func Characterize(nodes int, p synth.Params, jobs int, progress io.Writer) ([]CharRow, error) {
-	return CharacterizeCtx(context.Background(), nodes, p, jobs, progress)
-}
-
-// CharacterizeCtx is Characterize with cancellation, with the same
-// partial-result semantics as the other Ctx runners.
+// Failed cells, and cells aborted by ctx, are dropped from their row and
+// aggregated into the returned error.
 func CharacterizeCtx(ctx context.Context, nodes int, p synth.Params, jobs int, progress io.Writer) ([]CharRow, error) {
 	mp := machine.DefaultParams()
 	mp.Nodes = nodes

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,32 +48,18 @@ func (o Options) params() machine.Params {
 	return p
 }
 
+// kernels resolves the kernel filter (see normalizeKernels) to the
+// kernels it selects, in report order.
 func (o Options) kernels() ([]npb.Kernel, error) {
-	all := npb.Kernels()
-	if len(o.Kernels) == 0 {
-		return all, nil
+	names, err := normalizeKernels(o.Kernels)
+	if err != nil {
+		return nil, err
 	}
-	valid := map[string]bool{}
-	var names []string
-	for _, k := range all {
-		valid[k.Name] = true
-		names = append(names, k.Name)
+	ks := npb.Kernels()
+	if len(names) == 0 {
+		return ks, nil
 	}
-	want := map[string]bool{}
-	for _, n := range o.Kernels {
-		name := strings.ToUpper(strings.TrimSpace(n))
-		if !valid[name] {
-			return nil, fmt.Errorf("unknown kernel %q (valid: %s)", n, strings.Join(names, ", "))
-		}
-		want[name] = true
-	}
-	var out []npb.Kernel
-	for _, k := range all {
-		if want[k.Name] {
-			out = append(out, k)
-		}
-	}
-	return out, nil
+	return slices.DeleteFunc(ks, func(k npb.Kernel) bool { return !slices.Contains(names, k.Name) }), nil
 }
 
 // Result is one simulator run's measurements.
@@ -202,16 +189,10 @@ func RunStaticCtx(ctx context.Context, o Options, progress io.Writer) (*Suite, e
 	return s, nil
 }
 
-// RunDynamic executes the dynamic-scheduling matrix (Figures 4 and 5) on
-// up to o.Jobs concurrent workers, with the same per-cell error handling
-// as RunStatic. LU is excluded: it specifies static scheduling
-// programmatically (§5.2).
-func RunDynamic(o Options, progress io.Writer) (*Suite, error) {
-	return RunDynamicCtx(context.Background(), o, progress)
-}
-
-// RunDynamicCtx is RunDynamic with cancellation, with the same partial-
-// result semantics as RunStaticCtx.
+// RunDynamicCtx executes the dynamic-scheduling matrix (Figures 4 and 5)
+// on up to o.Jobs concurrent workers, with the same per-cell error
+// handling and partial-result semantics as RunStaticCtx. LU is excluded:
+// it specifies static scheduling programmatically (§5.2).
 func RunDynamicCtx(ctx context.Context, o Options, progress io.Writer) (*Suite, error) {
 	ks, err := o.kernels()
 	if err != nil {

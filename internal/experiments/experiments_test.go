@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestStaticSuiteAndRendering(t *testing.T) {
 }
 
 func TestDynamicSuiteAndRendering(t *testing.T) {
-	s, err := RunDynamic(quickOpts(), nil)
+	s, err := RunDynamicCtx(context.Background(), quickOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestDynamicSuiteAndRendering(t *testing.T) {
 func TestDynamicExcludesLU(t *testing.T) {
 	o := quickOpts()
 	o.Kernels = []string{"LU"}
-	s, err := RunDynamic(o, nil)
+	s, err := RunDynamicCtx(context.Background(), o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestKernelFilterUnknown(t *testing.T) {
 	if _, err := RunStatic(o, nil); err == nil {
 		t.Fatal("RunStatic accepted unknown kernel")
 	}
-	if _, err := RunDynamic(o, nil); err == nil {
+	if _, err := RunDynamicCtx(context.Background(), o, nil); err == nil {
 		t.Fatal("RunDynamic accepted unknown kernel")
 	}
 	var sb strings.Builder
@@ -171,7 +172,7 @@ func TestPaperShapeDynamic(t *testing.T) {
 		t.Skip("paper-scale shape test")
 	}
 	o := DefaultOptions()
-	s, err := RunDynamic(o, nil)
+	s, err := RunDynamicCtx(context.Background(), o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestSortedConfigsStable(t *testing.T) {
 }
 
 func TestWriteCSVIncludesDynamic(t *testing.T) {
-	s, err := RunDynamic(quickOpts(), nil)
+	s, err := RunDynamicCtx(context.Background(), quickOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,12 +58,12 @@ func TestParallelDynamicDeterminism(t *testing.T) {
 	o := quickOpts()
 	o.Kernels = []string{"CG", "MG"}
 	o.Jobs = 1
-	s1, err := RunDynamic(o, nil)
+	s1, err := RunDynamicCtx(context.Background(), o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Jobs = 8
-	s8, err := RunDynamic(o, nil)
+	s8, err := RunDynamicCtx(context.Background(), o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestParallelDynamicDeterminism(t *testing.T) {
 }
 
 func TestParallelScalingDeterminism(t *testing.T) {
-	r1, err := RunScaling("CG", []int{2, 4}, npb.ScaleTest, 1, true, nil)
+	r1, err := RunScalingCtx(context.Background(), "CG", []int{2, 4}, npb.ScaleTest, 1, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := RunScaling("CG", []int{2, 4}, npb.ScaleTest, 8, true, nil)
+	r8, err := RunScalingCtx(context.Background(), "CG", []int{2, 4}, npb.ScaleTest, 8, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestParallelScalingDeterminism(t *testing.T) {
 
 func TestParallelCharacterizeDeterminism(t *testing.T) {
 	p := synth.Params{Elems: 512, Iters: 2, Work: 3}
-	r1, err := Characterize(2, p, 1, nil)
+	r1, err := CharacterizeCtx(context.Background(), 2, p, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := Characterize(2, p, 8, nil)
+	r8, err := CharacterizeCtx(context.Background(), 2, p, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

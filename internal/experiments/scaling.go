@@ -32,20 +32,16 @@ func scalingConfig(name string, p machine.Params) omp.Config {
 	}
 }
 
-// RunScaling runs kernel at a fixed problem size across machine sizes —
+// RunScalingCtx runs kernel at a fixed problem size across machine sizes —
 // the paper's motivating scenario (§1–2): as CMPs are added, single/double
 // speedup saturates once communication dominates, and slipstream extends
 // the scaling by spending the second processor on latency instead of
 // parallelism. The (machine size × mode) cells are independent and run on
 // up to jobs workers (0 = one per host CPU); rows come back in nodeCounts
 // order regardless of completion order. Failed cells are skipped in their
-// row and aggregated into the returned error alongside the surviving rows.
-func RunScaling(kernelName string, nodeCounts []int, scale npb.Scale, jobs int, verify bool, progress io.Writer) ([]ScalingRow, error) {
-	return RunScalingCtx(context.Background(), kernelName, nodeCounts, scale, jobs, verify, progress)
-}
-
-// RunScalingCtx is RunScaling with cancellation: cells not yet started
-// when ctx is done are aborted and reported in the joined error.
+// row and aggregated into the returned error alongside the surviving rows;
+// cells not yet started when ctx is done are aborted and reported there
+// too.
 func RunScalingCtx(ctx context.Context, kernelName string, nodeCounts []int, scale npb.Scale, jobs int, verify bool, progress io.Writer) ([]ScalingRow, error) {
 	k, err := npb.ByName(kernelName)
 	if err != nil {
@@ -126,17 +122,12 @@ type TokenSweepRow struct {
 	Wall uint64
 }
 
-// RunTokenSweep measures a kernel under a range of A–R synchronization
-// policies (both insertion points, several initial token counts). The
-// policy cells run on up to jobs workers (0 = one per host CPU) and rows
-// come back in policy order. Failed cells are dropped from the rows and
-// aggregated into the returned error.
-func RunTokenSweep(kernelName string, nodes int, scale npb.Scale, tokenCounts []int, jobs int, verify bool, progress io.Writer) ([]TokenSweepRow, error) {
-	return RunTokenSweepCtx(context.Background(), kernelName, nodes, scale, tokenCounts, jobs, verify, progress)
-}
-
-// RunTokenSweepCtx is RunTokenSweep with cancellation, with the same
-// partial-result semantics as RunScalingCtx.
+// RunTokenSweepCtx measures a kernel under a range of A–R
+// synchronization policies (both insertion points, several initial token
+// counts). The policy cells run on up to jobs workers (0 = one per host
+// CPU) and rows come back in policy order. Failed cells, and cells
+// aborted by ctx, are dropped from the rows and aggregated into the
+// returned error.
 func RunTokenSweepCtx(ctx context.Context, kernelName string, nodes int, scale npb.Scale, tokenCounts []int, jobs int, verify bool, progress io.Writer) ([]TokenSweepRow, error) {
 	k, err := npb.ByName(kernelName)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 func TestRunScalingSmoke(t *testing.T) {
-	rows, err := RunScaling("CG", []int{2, 4}, npb.ScaleTest, 1, true, nil)
+	rows, err := RunScalingCtx(context.Background(), "CG", []int{2, 4}, npb.ScaleTest, 1, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestRunScalingSmoke(t *testing.T) {
 }
 
 func TestRunScalingUnknownKernel(t *testing.T) {
-	if _, err := RunScaling("NOPE", []int{2}, npb.ScaleTest, 1, false, nil); err == nil {
+	if _, err := RunScalingCtx(context.Background(), "NOPE", []int{2}, npb.ScaleTest, 1, false, nil); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
 }
@@ -55,7 +55,7 @@ func TestRunScalingInvalidNodeCountIsCellError(t *testing.T) {
 
 func TestScalingSingleModeMonotoneWork(t *testing.T) {
 	// Adding nodes must never change results, only timing: verify stays on.
-	rows, err := RunScaling("LU", []int{2, 4}, npb.ScaleTest, 1, true, nil)
+	rows, err := RunScalingCtx(context.Background(), "LU", []int{2, 4}, npb.ScaleTest, 1, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestScalingSingleModeMonotoneWork(t *testing.T) {
 }
 
 func TestTokenSweepSmoke(t *testing.T) {
-	rows, err := RunTokenSweep("MG", 4, npb.ScaleTest, []int{0, 1}, 1, true, nil)
+	rows, err := RunTokenSweepCtx(context.Background(), "MG", 4, npb.ScaleTest, []int{0, 1}, 1, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestPaperShapeScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-machine scaling study")
 	}
-	rows, err := RunScaling("MG", []int{4, 16}, npb.ScaleSmall, 0, true, nil)
+	rows, err := RunScalingCtx(context.Background(), "MG", []int{4, 16}, npb.ScaleSmall, 0, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPaperShapeScaling(t *testing.T) {
 }
 
 func TestCharacterizeSmoke(t *testing.T) {
-	rows, err := Characterize(4, synth.Params{Elems: 1024, Iters: 2, Work: 3}, 1, nil)
+	rows, err := CharacterizeCtx(context.Background(), 4, synth.Params{Elems: 1024, Iters: 2, Work: 3}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestPaperShapeCharacterization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16-CMP characterization")
 	}
-	rows, err := Characterize(16, synth.DefaultParams(), 0, nil)
+	rows, err := CharacterizeCtx(context.Background(), 16, synth.DefaultParams(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/npb"
@@ -35,8 +34,8 @@ type TasksRow struct {
 // TasksSuite holds a tasking-study sweep's results.
 type TasksSuite struct {
 	Scale   npb.Scale
-	Teams   []int              // ascending, deduped
-	Cutoffs []int              // ascending, deduped
+	Teams   []int              // ascending, distinct
+	Cutoffs []int              // ascending, distinct
 	Rows    map[int][]TasksRow // team → baseline row then cut-off rows
 	Errors  []CellError
 }
@@ -49,48 +48,16 @@ func (s *TasksSuite) Err() error {
 	return joinCellErrors(s.Errors)
 }
 
-// normalizeGrid validates, sorts, and dedupes one axis of the grid.
-func normalizeGrid(what string, xs []int, min, max int) ([]int, error) {
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("tasks: no %s given", what)
-	}
-	seen := map[int]bool{}
-	var out []int
-	for _, x := range xs {
-		if x < min || x > max {
-			return nil, fmt.Errorf("tasks: %s %d outside [%d, %d]", what, x, min, max)
-		}
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// RunTasks sweeps the tasking grid: for every team size, the TREEL loop
-// baseline plus the TREE task tree at every cut-off, each in single and
-// slipstream-G0 mode. Verification is forced on regardless of o.Verify —
-// in slipstream mode only R-stream commits count, and a cell whose
-// skeleton replay corrupted the result must fail loudly, not render.
-func RunTasks(o Options, teams, cutoffs []int, progress io.Writer) (*TasksSuite, error) {
-	return RunTasksCtx(context.Background(), o, teams, cutoffs, progress)
-}
-
-// RunTasksCtx is RunTasks with cancellation, with the same partial-result
-// semantics as the other suite runners: cells run on up to o.Jobs workers
-// and are collected in matrix order, so reports are byte-identical at any
-// concurrency.
+// RunTasksCtx sweeps the tasking grid: for every team size, the TREEL
+// loop baseline plus the TREE task tree at every cut-off, each in single
+// and slipstream-G0 mode. Both axes come as Compile normalizes them:
+// ascending, distinct and in range. Verification is forced on regardless
+// of o.Verify — in slipstream mode only R-stream commits count, and a
+// cell whose skeleton replay corrupted the result must fail loudly, not
+// render. Cells run on up to o.Jobs workers and are collected in matrix
+// order, so reports are byte-identical at any concurrency; cancelling
+// ctx aborts the cells not yet started, as in the other suite runners.
 func RunTasksCtx(ctx context.Context, o Options, teams, cutoffs []int, progress io.Writer) (*TasksSuite, error) {
-	teams, err := normalizeGrid("team size", teams, 1, 64)
-	if err != nil {
-		return nil, err
-	}
-	cutoffs, err = normalizeGrid("cutoff", cutoffs, 0, npb.MaxTreeCutoff)
-	if err != nil {
-		return nil, err
-	}
 	s := &TasksSuite{Scale: o.Scale, Teams: teams, Cutoffs: cutoffs, Rows: map[int][]TasksRow{}}
 
 	type cell struct {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -22,7 +24,7 @@ func tasksOpts(jobs int) Options {
 // deterministic.
 func TestTasksDeterministicAtAnyJobs(t *testing.T) {
 	render := func(jobs int) string {
-		s, err := RunTasks(tasksOpts(jobs), []int{2, 4}, []int{2, 4}, nil)
+		s, err := RunTasksCtx(context.Background(), tasksOpts(jobs), []int{2, 4}, []int{2, 4}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +49,7 @@ func TestTasksDeterministicAtAnyJobs(t *testing.T) {
 // size, report steals in the task cells (master-spawned roots force the
 // team to steal), and keep the loop baseline steal-free.
 func TestTasksGridShape(t *testing.T) {
-	s, err := RunTasks(tasksOpts(0), []int{4}, []int{3}, nil)
+	s, err := RunTasksCtx(context.Background(), tasksOpts(0), []int{4}, []int{3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,15 +82,29 @@ func TestTasksGridShape(t *testing.T) {
 	}
 }
 
+// Compile is the one validator of the tasking grid: the runner takes its
+// sorted, distinct, in-range axes as given.
 func TestTasksRejectsBadGrid(t *testing.T) {
-	if _, err := RunTasks(tasksOpts(1), []int{0}, []int{2}, nil); err == nil {
-		t.Fatal("team 0 accepted")
+	for _, tc := range []struct {
+		teams, cutoffs []int
+		want           string
+	}{
+		{[]int{0}, []int{2}, "node_counts value 0 is below the minimum 1"},
+		{[]int{2, 65}, []int{2}, "node_counts value 65 is above the maximum 64"},
+		{[]int{4, 2, 4}, []int{2}, "duplicate node_counts value 4"},
+		{[]int{2}, []int{npb.MaxTreeCutoff + 1}, "cutoffs value 13 is above the maximum 12"},
+		{[]int{2}, []int{-1}, "cutoffs value -1 is below the minimum 0"},
+		{[]int{2}, []int{3, 3}, "duplicate cutoffs value 3"},
+	} {
+		_, err := Compile(Spec{Kind: KindTasks, NodeCounts: tc.teams, Cutoffs: tc.cutoffs})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("teams %v cutoffs %v: Compile error %v, want one mentioning %q", tc.teams, tc.cutoffs, err, tc.want)
+		}
 	}
-	if _, err := RunTasks(tasksOpts(1), []int{2}, []int{npb.MaxTreeCutoff + 1}, nil); err == nil {
-		t.Fatal("cutoff beyond MaxTreeCutoff accepted")
-	}
-	if _, err := RunTasks(tasksOpts(1), nil, []int{2}, nil); err == nil {
-		t.Fatal("empty team list accepted")
+	// An empty axis never reaches the runner: it takes the default grid.
+	st := mustCompile(t, Spec{Kind: KindTasks, Cutoffs: []int{4, 2}})
+	if !reflect.DeepEqual(st.Spec.NodeCounts, []int{2, 4, 8}) || !reflect.DeepEqual(st.Spec.Cutoffs, []int{2, 4}) {
+		t.Fatalf("grid = %v × %v, want the default teams × the sorted cut-offs", st.Spec.NodeCounts, st.Spec.Cutoffs)
 	}
 }
 

@@ -154,8 +154,8 @@ func ParseSweep(s string) (Config, []float64, error) {
 		if err != nil {
 			return Config{}, nil, fmt.Errorf("faults: bad rate %q: %v", rs, err)
 		}
-		if r < 0 || r > 1 {
-			return Config{}, nil, fmt.Errorf("faults: rate %g outside [0, 1]", r)
+		if err := (Config{Rate: r}).Validate(); err != nil {
+			return Config{}, nil, err
 		}
 		rates = append(rates, r)
 	}

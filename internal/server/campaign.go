@@ -225,7 +225,7 @@ func compileCampaign(cs CampaignSpec) (*campaign, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cell %q: %v", cell.ID, err)
 		}
-		camp.spec.Cells[i].Spec = c.spec // journal the normalized form
+		camp.spec.Cells[i].Spec = c.spec() // journal the normalized form
 		camp.order = append(camp.order, cell.ID)
 		camp.cells[cell.ID] = &campCell{id: cell.ID, after: cell.After, c: c, key: key, state: cellPending}
 	}

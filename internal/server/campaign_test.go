@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/store"
 )
 
@@ -390,8 +391,8 @@ func TestCampaignResumesAfterRestart(t *testing.T) {
 		Name:   "resume",
 		Policy: PolicyContinue,
 		Cells: []CampaignCellSpec{
-			{ID: "a", Spec: JobSpec{Kind: KindRun, Kernel: "CG", Nodes: 5}},
-			{ID: "b", After: []string{"a"}, Spec: JobSpec{Kind: KindRun, Kernel: "CG", Nodes: 6}},
+			{ID: "a", Spec: JobSpec{Spec: experiments.Spec{Kind: experiments.KindRun, Kernel: "CG", Nodes: 5}}},
+			{ID: "b", After: []string{"a"}, Spec: JobSpec{Spec: experiments.Spec{Kind: experiments.KindRun, Kernel: "CG", Nodes: 6}}},
 		},
 	}
 	specJSON, _ := json.Marshal(spec)
@@ -456,7 +457,7 @@ func journaledCampaign(t *testing.T, dir, id string, spec CampaignSpec, cells ..
 }
 
 func runCell(id string, nodes int, after ...string) CampaignCellSpec {
-	return CampaignCellSpec{ID: id, After: after, Spec: JobSpec{Kind: KindRun, Kernel: "CG", Nodes: nodes}}
+	return CampaignCellSpec{ID: id, After: after, Spec: JobSpec{Spec: experiments.Spec{Kind: experiments.KindRun, Kernel: "CG", Nodes: nodes}}}
 }
 
 // TestCampaignReplayHaltSkipsPending: a halt campaign whose journal

@@ -72,7 +72,7 @@ func (s *Server) executeOrDispatch(ctx context.Context, j *Job) ([]byte, error) 
 	if s.cfg.Cluster == nil {
 		return s.executeGuarded(ctx, j)
 	}
-	result, err := s.cfg.Cluster.Dispatch(ctx, j.Key, j.c.label(), j.tenant, j.priority, j.c.spec, j.broker)
+	result, err := s.cfg.Cluster.Dispatch(ctx, j.Key, j.c.label(), j.tenant, j.priority, j.c.spec(), j.broker)
 	if errors.Is(err, ErrNoWorkers) {
 		s.metrics.localFallback()
 		fmt.Fprintf(j.broker, "cluster: no visible workers; executing locally in degraded mode\n")

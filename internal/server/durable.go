@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/store"
 )
 
@@ -129,7 +130,8 @@ func (s *Server) restoreTerminal(r store.Record, st State, errMsg string, result
 	if len(r.Spec) > 0 {
 		json.Unmarshal(r.Spec, &spec) // best-effort: the view shows what survived
 	}
-	j := newJob(r.Job, r.Key, &compiledSpec{spec: spec}, st, recordSubmission(r))
+	c := &compiledSpec{study: &experiments.Study{Spec: spec.Spec}, priority: PriorityValue(spec.Priority)}
+	j := newJob(r.Job, r.Key, c, st, recordSubmission(r))
 	j.restored, j.cached, j.result, j.errMsg = true, r.Cached, result, errMsg
 	if r.Attempts > 0 {
 		j.attempts = r.Attempts

@@ -60,7 +60,7 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compiled spec failed to hash: %v (body %q)", err, body)
 		}
-		norm, err := json.Marshal(c.spec)
+		norm, err := json.Marshal(c.spec())
 		if err != nil {
 			t.Fatalf("normalized spec failed to marshal: %v (body %q)", err, body)
 		}

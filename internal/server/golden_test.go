@@ -7,25 +7,23 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current code")
 
-// goldenSpecs are one test-scale spec per job kind. Their rendered bytes
-// are pinned in testdata/golden/<kind>.txt, and `make golden` checks the
-// slipsim and sweep CLIs against the same files. A change that moves any
-// of these bytes regenerates the file (go test -run TestGolden -update)
-// and bumps CacheKeyVersion in the same change, so stale cached results
-// stop matching.
-var goldenSpecs = []struct{ kind, body string }{
-	{KindRun, `{"kind":"run","kernel":"CG","nodes":4,"scale":"test"}`},
-	{KindStatic, `{"kind":"static","nodes":4,"scale":"test"}`},
-	{KindDynamic, `{"kind":"dynamic","nodes":4,"scale":"test"}`},
-	{KindScaling, `{"kind":"scaling","kernel":"CG","node_counts":[2,4],"scale":"test"}`},
-	{KindTokens, `{"kind":"tokens","kernel":"MG","nodes":4,"token_counts":[0,1],"scale":"test"}`},
-	{KindCharacterize, `{"kind":"characterize","nodes":2}`},
-	{KindChaos, `{"kind":"chaos","kernels":["CG"],"nodes":4,"scale":"test","faults":{"seed":7,"rates":[0.5]}}`},
-	{KindTasks, `{"kind":"tasks","node_counts":[2,4],"cutoffs":[2,4],"scale":"test"}`},
+// goldenKinds name one golden pair per job kind under testdata/golden:
+// <kind>.json is a test-scale spec and <kind>.txt the bytes it renders.
+// `make golden` checks the slipsim and sweep CLIs against the same .txt
+// files, and sweep's tests check that the Makefile's sweep invocations
+// compile to the same keys as these specs, so TestGolden covers the code
+// sweep runs. A change that moves any of these bytes regenerates the
+// .txt files (go test -run TestGolden -update) and bumps CacheKeyVersion
+// in the same change, so stale cached results stop matching.
+var goldenKinds = []string{
+	experiments.KindRun, experiments.KindStatic, experiments.KindDynamic, experiments.KindScaling,
+	experiments.KindTokens, experiments.KindCharacterize, experiments.KindChaos, experiments.KindTasks,
 }
 
 // TestGolden executes each golden spec and compares the result bytes
@@ -36,10 +34,14 @@ func TestGolden(t *testing.T) {
 	}
 	s := New(Config{Workers: 1})
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
-	for _, g := range goldenSpecs {
-		t.Run(g.kind, func(t *testing.T) {
-			c, _ := keyOf(t, g.body)
-			checkGolden(t, s, c, g.kind)
+	for _, kind := range goldenKinds {
+		t.Run(kind, func(t *testing.T) {
+			body, err := os.ReadFile(filepath.Join("testdata", "golden", kind+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, _ := keyOf(t, string(body))
+			checkGolden(t, s, c, kind)
 		})
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 // TestWorkerPanicRecovery is the hardening acceptance criterion: a
@@ -220,19 +222,19 @@ func TestTasksJobEndToEnd(t *testing.T) {
 	}
 
 	// An omitted grid takes the documented defaults in the normalized spec.
-	c, err := compile(JobSpec{Kind: KindTasks})
+	c, err := compile(JobSpec{Spec: experiments.Spec{Kind: experiments.KindTasks}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.spec.NodeCounts) != 3 || len(c.spec.Cutoffs) != 4 {
-		t.Fatalf("defaults not applied: teams %v cutoffs %v", c.spec.NodeCounts, c.spec.Cutoffs)
+	if n := c.study.Spec; len(n.NodeCounts) != 3 || len(n.Cutoffs) != 4 {
+		t.Fatalf("defaults not applied: teams %v cutoffs %v", n.NodeCounts, n.Cutoffs)
 	}
 	if _, err := c.cacheKey(); err != nil {
 		t.Fatal(err)
 	}
 	// The cut-off grid is part of the identity: different grids, different keys.
-	a, _ := compile(JobSpec{Kind: KindTasks, NodeCounts: []int{2}, Cutoffs: []int{2}})
-	b, _ := compile(JobSpec{Kind: KindTasks, NodeCounts: []int{2}, Cutoffs: []int{3}})
+	a, _ := compile(JobSpec{Spec: experiments.Spec{Kind: experiments.KindTasks, NodeCounts: []int{2}, Cutoffs: []int{2}}})
+	b, _ := compile(JobSpec{Spec: experiments.Spec{Kind: experiments.KindTasks, NodeCounts: []int{2}, Cutoffs: []int{3}}})
 	ka, _ := a.cacheKey()
 	kb, _ := b.cacheKey()
 	if ka == kb {
@@ -267,17 +269,17 @@ func TestFaultSpecValidation(t *testing.T) {
 	}
 
 	// A rate-zero plan is no plan: both spellings must share a cache key.
-	plain, _ := compile(JobSpec{Kind: KindRun, Kernel: "CG", Nodes: 4})
-	zeroed, _ := compile(JobSpec{Kind: KindRun, Kernel: "CG", Nodes: 4,
-		Faults: &FaultSpec{Seed: 9, Rate: 0}})
+	plain, _ := compile(JobSpec{Spec: experiments.Spec{Kind: experiments.KindRun, Kernel: "CG", Nodes: 4}})
+	zeroed, _ := compile(JobSpec{Spec: experiments.Spec{Kind: experiments.KindRun, Kernel: "CG", Nodes: 4,
+		Faults: &experiments.FaultSpec{Seed: 9, Rate: 0}}})
 	k1, err1 := plain.cacheKey()
 	k2, err2 := zeroed.cacheKey()
 	if err1 != nil || err2 != nil || k1 != k2 {
 		t.Fatalf("rate-zero plan changed the cache key: %q vs %q (%v, %v)", k1, k2, err1, err2)
 	}
 	// An armed plan must not share a key with the unarmed spec.
-	armed, err := compile(JobSpec{Kind: KindRun, Kernel: "CG", Nodes: 4,
-		Faults: &FaultSpec{Seed: 9, Rate: 0.1}})
+	armed, err := compile(JobSpec{Spec: experiments.Spec{Kind: experiments.KindRun, Kernel: "CG", Nodes: 4,
+		Faults: &experiments.FaultSpec{Seed: 9, Rate: 0.1}}})
 	if err != nil {
 		t.Fatal(err)
 	}

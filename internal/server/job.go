@@ -89,7 +89,7 @@ func newJob(id, key string, c *compiledSpec, state State, sub submission) *Job {
 // only. Build it before a worker can see the job.
 func (j *Job) firstRecord() store.Record {
 	return store.Record{Job: j.ID, Key: j.Key, State: string(j.state), Attempts: j.attempts, Cached: j.cached,
-		Spec: specJSON(j.c.spec), Tenant: j.tenant, Priority: PriorityName(j.priority), Campaign: j.campaign, Cell: j.cell}
+		Spec: specJSON(j.c.spec()), Tenant: j.tenant, Priority: PriorityName(j.priority), Campaign: j.campaign, Cell: j.cell}
 }
 
 // snapshot returns a consistent copy of the mutable state.
@@ -105,7 +105,7 @@ func (j *Job) snapshot() JobView {
 		Attempts: j.attempts,
 		Restored: j.restored,
 		Created:  j.created,
-		Spec:     j.c.spec,
+		Spec:     j.c.spec(),
 		Tenant:   j.tenant,
 		Campaign: j.campaign,
 		Cell:     j.cell,

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/machine"
 )
 
@@ -72,7 +73,7 @@ func TestCacheKeyTasksOrder(t *testing.T) {
 	}
 	s := New(Config{Workers: 1})
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
-	checkGolden(t, s, c, KindTasks)
+	checkGolden(t, s, c, experiments.KindTasks)
 }
 
 // TestCacheKeySpellingVariants: specs that normalize to the same
@@ -106,22 +107,38 @@ func TestCacheKeyPinned(t *testing.T) {
 	}
 }
 
-// TestIgnoredMachineSettingsRefused: kinds that build their own Table-1
-// machines refuse any other machine, and kinds that never self-invalidate
-// refuse self_invalidate, naming the field. A Table-1 params block is
-// accepted, dropped from the normalized spec, and the spec recompiles to
-// the same key.
+// TestIgnoredMachineSettingsRefused: a kind refuses, with a 400 naming
+// the field, every field it does not read that holds anything but the
+// value an absent field normalizes to — machine settings included, with
+// at least one case per kind. A Table-1 params block is accepted and
+// dropped from the normalized spec, and a default spelled out keys the
+// same as the field left out, so every spec accepted before keeps its
+// key.
 func TestIgnoredMachineSettingsRefused(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	mesh := paramsJSON(t, 4, true)
 	for _, tc := range []struct{ body, field string }{
-		{`{"kind":"scaling","kernel":"CG","node_counts":[2,4],"nodes":4,"params":` + mesh + `}`, "params"},
+		{`{"kind":"scaling","kernel":"CG","node_counts":[2,4],"params":` + mesh + `}`, "params"},
 		{`{"kind":"tokens","kernel":"MG","token_counts":[0,1],"nodes":4,"params":` + mesh + `}`, "params"},
 		{`{"kind":"characterize","nodes":4,"params":` + mesh + `}`, "params"},
 		{`{"kind":"scaling","kernel":"CG","node_counts":[2,4],"self_invalidate":true}`, "self_invalidate"},
 		{`{"kind":"tokens","kernel":"MG","token_counts":[0,1],"self_invalidate":true}`, "self_invalidate"},
 		{`{"kind":"characterize","self_invalidate":true}`, "self_invalidate"},
 		{`{"kind":"dynamic","self_invalidate":true}`, "self_invalidate"},
+		{`{"kind":"run","kernel":"CG","kernels":["CG"]}`, "kernels"},
+		{`{"kind":"run","kernel":"CG","cutoffs":[2]}`, "cutoffs"},
+		{`{"kind":"run","kernel":"CG","node_counts":[2,4]}`, "node_counts"},
+		{`{"kind":"static","mode":"single"}`, "mode"},
+		{`{"kind":"static","sched":"dynamic"}`, "sched"},
+		{`{"kind":"static","chunk":4}`, "chunk"},
+		{`{"kind":"dynamic","tokens":2}`, "tokens"},
+		{`{"kind":"scaling","kernel":"CG","node_counts":[2,4],"nodes":8}`, "nodes"},
+		{`{"kind":"tokens","kernel":"MG","token_counts":[0,1],"node_counts":[2]}`, "node_counts"},
+		{`{"kind":"characterize","scale":"paper"}`, "scale"},
+		{`{"kind":"characterize","verify":false}`, "verify"},
+		{`{"kind":"chaos","kernels":["CG"],"verify":false}`, "verify"},
+		{`{"kind":"tasks","nodes":4}`, "nodes"},
+		{`{"kind":"tasks","verify":false}`, "verify"},
 	} {
 		if _, code := submit(t, ts, tc.body); code != http.StatusBadRequest {
 			t.Errorf("%s → %d, want 400", tc.body, code)
@@ -130,20 +147,32 @@ func TestIgnoredMachineSettingsRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := compile(spec); err == nil || !strings.Contains(err.Error(), tc.field) {
+		if _, err := compile(spec); err == nil || !strings.Contains(err.Error(), "does not read "+tc.field) {
 			t.Errorf("%s: error %v does not name %s", tc.body, err, tc.field)
 		}
 	}
 
-	c, key := keyOf(t, `{"kind":"scaling","kernel":"CG","node_counts":[4,2],"nodes":8,"params":`+paramsJSON(t, 8, false)+`}`)
-	if c.spec.Params != nil {
-		t.Fatalf("normalized scaling spec kept params: %s", c.spec.Params)
+	c, key := keyOf(t, `{"kind":"scaling","kernel":"CG","node_counts":[4,2],"nodes":16,"params":`+paramsJSON(t, 16, false)+`}`)
+	if c.study.Spec.Params != nil {
+		t.Fatalf("normalized scaling spec kept params: %s", c.study.Spec.Params)
 	}
-	norm, err := json.Marshal(c.spec)
+	norm, err := json.Marshal(c.spec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, again := keyOf(t, string(norm)); again != key {
 		t.Fatalf("normalized scaling spec %s recompiled to a different key", norm)
+	}
+	for _, pair := range [][2]string{
+		{`{"kind":"scaling","kernel":"CG","node_counts":[4,2],"nodes":16,"params":` + paramsJSON(t, 16, false) + `}`,
+			`{"kind":"scaling","kernel":"CG","node_counts":[4,2]}`},
+		{`{"kind":"characterize","nodes":2,"scale":"TEST","verify":true}`, `{"kind":"characterize","nodes":2}`},
+		{`{"kind":"tasks","nodes":16,"verify":true,"kernels":[" "]}`, `{"kind":"tasks"}`},
+	} {
+		_, a := keyOf(t, pair[0])
+		_, b := keyOf(t, pair[1])
+		if a != b {
+			t.Errorf("%s and %s have different keys", pair[0], pair[1])
+		}
 	}
 }

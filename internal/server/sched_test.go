@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 // schedFor builds a scheduler with a controllable clock.
@@ -15,7 +17,7 @@ func schedFor(t *testing.T, cfg Config) (*scheduler, *time.Time) {
 }
 
 func schedJob(id, tenant string, priority int) *Job {
-	return newJob(id, "key-"+id, &compiledSpec{spec: JobSpec{Kind: KindRun}}, StateQueued, submission{tenant: tenant, priority: priority})
+	return newJob(id, "key-"+id, &compiledSpec{study: &experiments.Study{Spec: experiments.Spec{Kind: experiments.KindRun}}}, StateQueued, submission{tenant: tenant, priority: priority})
 }
 
 // mustPop pops without blocking (the tests enqueue before popping).

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -562,6 +563,20 @@ func (s *Server) executeGuarded(ctx context.Context, j *Job) (result []byte, err
 		s.testDuringRun(j)
 	}
 	return s.execute(ctx, j.c, j.broker)
+}
+
+// execute runs a compiled spec's study to completion and returns the
+// bytes it renders, the same bytes the CLIs print. Partial failures fail
+// the job: a study with cell errors returns an error and nothing is
+// cached, so the cache only ever holds complete, verified artifacts.
+func (s *Server) execute(ctx context.Context, c *compiledSpec, progress io.Writer) ([]byte, error) {
+	var buf bytes.Buffer
+	injected, recoveries, err := c.study.Execute(ctx, s.cfg.SuiteJobs, &buf, progress)
+	if err != nil {
+		return nil, err
+	}
+	s.metrics.addFaults(injected, recoveries)
+	return buf.Bytes(), nil
 }
 
 // clearInflight removes a settling job from the single-flight index
