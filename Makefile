@@ -32,8 +32,8 @@ perfbench-check:
 # The experiment runner, pool, validate checkup, slipd server, journal
 # store, fleet coordinator, the sim engine's pooled context workers, the
 # omp task deques (concurrent steals under injected stragglers), and the
-# machine and core spin waits (stepped on the engine goroutine while
-# their context goroutines read the same Proc and pair-register state)
+# machine and core spin waits (stepped on whichever goroutine runs the
+# event loop while others read the same Proc and pair-register state)
 # fan work out across goroutines; keep them race-clean. -short skips only
 # the paper-scale shape tests (simulation numbers, no extra
 # concurrency), so every racy path is still exercised and the
@@ -78,7 +78,7 @@ golden:
 # Paper-scale golden gate: slipsim's whole experiment set at 16 CMPs must
 # print the committed experiment_results.txt byte for byte. The goldens
 # above run 4 CMPs, and a spin-ordering slip may only show with 16
-# spinners. About 50 s on 2 CPUs.
+# spinners. About 25 s on 2 CPUs.
 golden-paper:
 	mkdir -p bin
 	$(GO) build -o bin/slipsim ./cmd/slipsim
@@ -87,7 +87,7 @@ golden-paper:
 # Benchmark baselines are committed as BENCH_PR$(PR).json, one per PR that
 # moves performance. BENCHTIME is multi-iteration on purpose: -benchtime=1x
 # made ns/op a single noisy sample and the ratchet flapped.
-PR ?= 22
+PR ?= 25
 BENCH_OUT ?= BENCH_PR$(PR).json
 BENCHTIME ?= 3x
 BENCH_COUNT ?= 2

@@ -28,8 +28,9 @@ func benchParams() machine.Params {
 
 // benchRun executes one kernel/config run per iteration and reports the
 // simulated wall-clock cycles and what one run cost the engine: events
-// popped, goroutine switches, and spin steps (polls the engine ran
-// without a switch).
+// dispatched, switches to another context's goroutine, resumes of the
+// parking context on its own goroutine, and spin steps (polls the event
+// loop ran without resuming the polling context).
 func benchRun(b *testing.B, kernel string, cfg omp.Config) experiments.Result {
 	b.Helper()
 	k, err := npb.ByName(kernel)
@@ -50,6 +51,7 @@ func benchRun(b *testing.B, kernel string, cfg omp.Config) experiments.Result {
 	b.ReportMetric(float64(last.Wall), "sim-cycles")
 	b.ReportMetric(float64(last.Engine.Events), "events")
 	b.ReportMetric(float64(last.Engine.Switches), "switches")
+	b.ReportMetric(float64(last.Engine.Resumes), "resumes")
 	b.ReportMetric(float64(last.Engine.SpinSteps), "spin-steps")
 	return last
 }

@@ -27,6 +27,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,11 +40,7 @@ import (
 )
 
 func main() {
-	spec, jobs, quiet, err := parseArgs(flag.CommandLine, os.Args[1:])
-	if err != nil {
-		fatal(err)
-	}
-	study, err := experiments.Compile(spec)
+	study, jobs, quiet, err := parseArgs(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		fatal(err)
 	}
@@ -63,15 +60,16 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// parseArgs defines sweep's flags on fs, parses args, and maps them to
-// the spec of the chosen study, plus the -jobs and -q settings. Each
-// study flag sets one spec field, and only for a study that reads it: a
-// flag left at its default is not mapped, and a flag set explicitly is
-// refused.
-func parseArgs(fs *flag.FlagSet, args []string) (spec experiments.Spec, jobs int, quiet bool, err error) {
+// parseArgs defines sweep's flags on fs, parses args, maps them to the
+// spec of the chosen study and compiles it, and returns the study with
+// the -jobs and -q settings. Each study flag sets one spec field, and
+// only for a study that reads it: a flag left at its default is not
+// mapped, and a flag set explicitly is refused. A compile error about a
+// field names the flag that set it.
+func parseArgs(fs *flag.FlagSet, args []string) (*experiments.Study, int, bool, error) {
 	var (
 		kernel    = fs.String("kernel", "MG", "benchmark: BT|CG|LU|MG|SP")
-		study     = fs.String("study", "scaling", "study to run: scaling|tokens|characterize|chaos|tasks")
+		kind      = fs.String("study", "scaling", "study to run: scaling|tokens|characterize|chaos|tasks")
 		nodes     = fs.String("nodes", "2,4,8,16", "node counts for -study scaling/tasks")
 		cutoffs   = fs.String("cutoffs", "2,4,6,8", "tree cut-off depths for -study tasks")
 		tokens    = fs.String("tokens", "0,1,2,4", "token counts for -study tokens")
@@ -83,14 +81,14 @@ func parseArgs(fs *flag.FlagSet, args []string) (spec experiments.Spec, jobs int
 		q         = fs.Bool("q", false, "suppress progress output")
 	)
 	if err := fs.Parse(args); err != nil {
-		return spec, 0, false, err
+		return nil, 0, false, err
 	}
-	switch *study {
+	switch *kind {
 	case experiments.KindScaling, experiments.KindTokens, experiments.KindCharacterize, experiments.KindChaos, experiments.KindTasks:
 	default:
-		return spec, 0, false, fmt.Errorf("unknown study %q (valid: scaling|tokens|characterize|chaos|tasks)", *study)
+		return nil, 0, false, fmt.Errorf("unknown study %q (valid: scaling|tokens|characterize|chaos|tasks)", *kind)
 	}
-	spec.Kind = *study
+	spec := experiments.Spec{Kind: *kind}
 
 	// A spec reads a zero seed or node count, an empty scale and an empty
 	// kernel filter as absent and runs its default instead; a flag value
@@ -148,15 +146,32 @@ func parseArgs(fs *flag.FlagSet, args []string) (spec experiments.Spec, jobs int
 		}
 		read[f.flag] = true
 		if err := f.set(); err != nil {
-			return spec, 0, false, err
+			return nil, 0, false, err
 		}
 	}
+	var err error
 	fs.Visit(func(f *flag.Flag) {
 		if !read[f.Name] && err == nil {
 			err = fmt.Errorf("-study %s does not read -%s", spec.Kind, f.Name)
 		}
 	})
-	return spec, *jobsFlag, *q, err
+	if err != nil {
+		return nil, 0, false, err
+	}
+	study, err := experiments.Compile(spec)
+	if err != nil {
+		var fe *experiments.FieldError
+		if errors.As(err, &fe) {
+			for _, f := range fields {
+				if f.field == fe.Field {
+					err = fmt.Errorf("-%s: %w", f.flag, err)
+					break
+				}
+			}
+		}
+		return nil, 0, false, err
+	}
+	return study, *jobsFlag, *q, nil
 }
 
 // parseInts splits a comma-separated count list into numbers.

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -17,16 +18,16 @@ import (
 )
 
 // compileArgs maps a sweep command line to its spec and compiles it, the
-// path main takes before it executes anything.
+// path main takes before it executes anything, and returns the compiled
+// (normalized) spec.
 func compileArgs(args string) (experiments.Spec, error) {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	spec, _, _, err := parseArgs(fs, strings.Fields(args))
+	study, _, _, err := parseArgs(fs, strings.Fields(args))
 	if err != nil {
-		return spec, err
+		return experiments.Spec{}, err
 	}
-	_, err = experiments.Compile(spec)
-	return spec, err
+	return study.Spec, nil
 }
 
 func TestParseIntsValid(t *testing.T) {
@@ -61,6 +62,29 @@ func TestParseIntsRejections(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("sweep %s = %v, want error mentioning %q", c.args, err, c.want)
+		}
+	}
+}
+
+// TestCompileErrorsNameTheFlag: a value experiments.Compile refuses is
+// reported against the sweep flag that set it, not only the spec field
+// the message names, with the message itself unchanged.
+func TestCompileErrorsNameTheFlag(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-study scaling -nodes 2,0,8", "-nodes: node_counts value 0 is below the minimum 1"},
+		{"-study chaos -at 100", "-at: machine: node count 100 out of range"},
+		{"-study tokens -at 4 -tokens 0,2000", "-tokens: token_counts value 2000 is above the maximum 1024"},
+		{"-study scaling -kernel XX", "-kernel: "},
+		{"-study tasks -cutoffs 2,2", "-cutoffs: duplicate cutoffs value 2"},
+		{"-study chaos -scale huge", "-scale: "},
+	} {
+		_, err := compileArgs(c.args)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("sweep %s: error %v, want one starting %q", c.args, err, c.want)
+		}
+		var fe *experiments.FieldError
+		if !errors.As(err, &fe) {
+			t.Errorf("sweep %s: error %v does not wrap the compile error's *experiments.FieldError", c.args, err)
 		}
 	}
 }

@@ -74,7 +74,7 @@ type Result struct {
 	Faults     uint64       // faults injected by the run's plan (0 when unarmed)
 	TasksRun   uint64       // explicit tasks executed (0 for non-tasking kernels)
 	Steals     uint64       // task deque steals (0 for non-tasking kernels)
-	Engine     sim.Counters // engine events, switches and spin steps (benchmarks report them; no figure does)
+	Engine     sim.Counters // engine events, switches, resumes and spin steps (benchmarks report them; no figure does)
 }
 
 // runConfig names one execution configuration of the suite.

@@ -142,6 +142,27 @@ var specFields = []struct {
 	{"params", func(s *Spec) bool { return len(s.Params) == 0 }},
 }
 
+// FieldError is a Compile error about one spec field. Its text is the
+// wrapped error's alone, so slipd's 400 bodies read the same; Field lets a
+// front end that sets the field from an input of its own, such as a
+// sweep flag, name that input instead.
+type FieldError struct {
+	Field string // the field's JSON name
+	Err   error
+}
+
+func (e *FieldError) Error() string { return e.Err.Error() }
+
+func (e *FieldError) Unwrap() error { return e.Err }
+
+// fieldErr tags a non-nil err with the spec field it concerns.
+func fieldErr(field string, err error) error {
+	if err == nil {
+		return nil
+	}
+	return &FieldError{Field: field, Err: err}
+}
+
 // Study is a compiled spec: validated, normalized, and resolved to the
 // typed values its runner takes. Spec is the one description of the
 // study: slipd hashes it into the cache key, and everything Execute
@@ -163,9 +184,9 @@ func Compile(s Spec) (*Study, error) {
 	reads, ok := kindReads[s.Kind]
 	if !ok {
 		if s.Kind == "" {
-			return nil, fmt.Errorf("missing kind (valid: %s)", validKinds)
+			return nil, fieldErr("kind", fmt.Errorf("missing kind (valid: %s)", validKinds))
 		}
-		return nil, fmt.Errorf("unknown kind %q (valid: %s)", s.Kind, validKinds)
+		return nil, fieldErr("kind", fmt.Errorf("unknown kind %q (valid: %s)", s.Kind, validKinds))
 	}
 	st := &Study{Spec: s}
 	n := &st.Spec
@@ -175,18 +196,18 @@ func Compile(s Spec) (*Study, error) {
 	}
 	scale, err := npb.ParseScale(n.Scale)
 	if err != nil {
-		return nil, err
+		return nil, fieldErr("scale", err)
 	}
 	n.Scale = scale.String()
 	if n.Nodes == 0 {
 		n.Nodes = defaultNodes
 	} else if n.Nodes < 0 {
-		return nil, fmt.Errorf("nodes %d invalid", n.Nodes)
+		return nil, fieldErr("nodes", fmt.Errorf("nodes %d invalid", n.Nodes))
 	}
 	verify := s.Verify == nil || *s.Verify
 	n.Verify = &verify
 	if n.Kernels, err = normalizeKernels(s.Kernels); err != nil {
-		return nil, err
+		return nil, fieldErr("kernels", err)
 	}
 
 	// The machine: the decoded params block or Table 1, with the spec's
@@ -196,21 +217,22 @@ func Compile(s Spec) (*Study, error) {
 	p := machine.DefaultParams()
 	if len(s.Params) > 0 {
 		if p, err = machine.ParamsFromCanonicalJSON(s.Params); err != nil {
-			return nil, err
+			return nil, fieldErr("params", err)
 		}
 		if err := p.Validate(); err != nil {
-			return nil, err
+			return nil, fieldErr("params", err)
 		}
 	}
+	// The block is valid, so a failure now is the node count's.
 	p.Nodes = n.Nodes
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, fieldErr("nodes", err)
 	}
 	tableOne := machine.DefaultParams()
 	tableOne.Nodes = p.Nodes
 	if slices.Contains(reads, "params") {
 		if n.Params, err = p.CanonicalJSON(); err != nil {
-			return nil, err
+			return nil, fieldErr("params", err)
 		}
 	} else if p == tableOne {
 		n.Params = nil
@@ -218,7 +240,7 @@ func Compile(s Spec) (*Study, error) {
 
 	for _, f := range specFields {
 		if !slices.Contains(reads, f.name) && !f.unset(n) {
-			return nil, fmt.Errorf("kind %q does not read %s (it reads %s)", s.Kind, f.name, strings.Join(reads, ", "))
+			return nil, fieldErr(f.name, fmt.Errorf("kind %q does not read %s (it reads %s)", s.Kind, f.name, strings.Join(reads, ", ")))
 		}
 	}
 	st.opts = Options{
@@ -242,7 +264,7 @@ func Compile(s Spec) (*Study, error) {
 			err = validateCounts(n.TokenCounts, 0, maxTokenCount, "token_counts")
 		}
 	case KindChaos:
-		err = st.compileChaosFaults()
+		err = fieldErr("faults", st.compileChaosFaults())
 	case KindTasks:
 		if len(n.NodeCounts) == 0 {
 			n.NodeCounts = defaultTaskTeams
@@ -268,11 +290,11 @@ func Compile(s Spec) (*Study, error) {
 // needKernel resolves the spec's kernel to its canonical name.
 func (st *Study) needKernel() error {
 	if st.Spec.Kernel == "" {
-		return fmt.Errorf("kind %q requires a kernel", st.Spec.Kind)
+		return fieldErr("kernel", fmt.Errorf("kind %q requires a kernel", st.Spec.Kind))
 	}
 	k, err := npb.ByName(strings.ToUpper(st.Spec.Kernel))
 	if err != nil {
-		return err
+		return fieldErr("kernel", err)
 	}
 	st.Spec.Kernel = k.Name
 	return nil
@@ -289,17 +311,17 @@ func (st *Study) compileRun() error {
 		n.Mode = "slipstream"
 	}
 	if st.mode, err = ParseMode(n.Mode); err != nil {
-		return err
+		return fieldErr("mode", err)
 	}
 	n.Mode = st.mode.String()
 	if n.Sync == "" {
 		n.Sync = "GLOBAL_SYNC"
 	}
 	if n.Tokens < 0 || n.Tokens > maxTokenCount {
-		return fmt.Errorf("tokens %d outside [0, %d]", n.Tokens, maxTokenCount)
+		return fieldErr("tokens", fmt.Errorf("tokens %d outside [0, %d]", n.Tokens, maxTokenCount))
 	}
 	if st.sync, err = ParseSync(n.Sync, n.Tokens); err != nil {
-		return err
+		return fieldErr("sync", err)
 	}
 	n.Sync = strings.ToUpper(n.Sync)
 	n.Tokens = st.sync.Tokens // NONE zeroes the count
@@ -307,13 +329,13 @@ func (st *Study) compileRun() error {
 		n.Sched = "static"
 	}
 	if st.sched, err = ParseSched(n.Sched); err != nil {
-		return err
+		return fieldErr("sched", err)
 	}
 	n.Sched = st.sched.String()
 	if n.Chunk < 0 {
-		return fmt.Errorf("chunk %d invalid", n.Chunk)
+		return fieldErr("chunk", fmt.Errorf("chunk %d invalid", n.Chunk))
 	}
-	return st.compileRunFaults()
+	return fieldErr("faults", st.compileRunFaults())
 }
 
 // normalizeKernels normalizes a suite kernel filter (trimmed, uppercased,
@@ -354,17 +376,17 @@ func sortedInts(xs []int) []int {
 // reaching machine.New, which enforces its limits by panicking.
 func validateCounts(counts []int, min, max int, field string) error {
 	if len(counts) == 0 {
-		return fmt.Errorf("kind requires non-empty %s", field)
+		return fieldErr(field, fmt.Errorf("kind requires non-empty %s", field))
 	}
 	for i, n := range counts {
 		if n < min {
-			return fmt.Errorf("%s value %d is below the minimum %d", field, n, min)
+			return fieldErr(field, fmt.Errorf("%s value %d is below the minimum %d", field, n, min))
 		}
 		if n > max {
-			return fmt.Errorf("%s value %d is above the maximum %d", field, n, max)
+			return fieldErr(field, fmt.Errorf("%s value %d is above the maximum %d", field, n, max))
 		}
 		if slices.Contains(counts[:i], n) {
-			return fmt.Errorf("duplicate %s value %d", field, n)
+			return fieldErr(field, fmt.Errorf("duplicate %s value %d", field, n))
 		}
 	}
 	return nil

@@ -288,8 +288,9 @@ func (p *Proc) SpinRegs(cat stats.Category, t RegTest) {
 }
 
 // spinWait runs the spin set up in p.spin. The goroutine issues the first
-// access and parks once in spin mode; from then on the engine steps the
-// spinner at each wake and switches back only when the test passes. Each
+// access and parks once in spin mode; from then on the event loop steps
+// the spinner at each wake and resumes the goroutine only when the test
+// passes. Each
 // poll schedules the same events, issues the same accesses and charges the
 // same cycles as a loop of Load (or Wait) and Wait on the goroutine would.
 func (p *Proc) spinWait(cat stats.Category) {

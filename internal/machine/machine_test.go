@@ -352,8 +352,8 @@ func TestSpinPrimitivesPollAndCharge(t *testing.T) {
 
 // spinEpisode runs one 4-poll spin of each kind on a fresh machine built
 // from p, and reports each spin's cycles and the engine events and
-// goroutine switches it cost.
-func spinEpisode(t *testing.T, p Params) (cycles, events, switches [2]uint64) {
+// transfers of control to a goroutine (switches plus resumes) it cost.
+func spinEpisode(t *testing.T, p Params) (cycles, events, transfers [2]uint64) {
 	t.Helper()
 	m := New(p)
 	var bd stats.Breakdown
@@ -369,23 +369,24 @@ func spinEpisode(t *testing.T, p Params) (cycles, events, switches [2]uint64) {
 			}
 			c1 := m.Eng.Counters()
 			cycles[k] = pr.Ctx.Now() - start
-			events[k], switches[k] = c1.Events-c0.Events, c1.Switches-c0.Switches
+			events[k] = c1.Events - c0.Events
+			transfers[k] = c1.Switches + c1.Resumes - c0.Switches - c0.Resumes
 		}
 		bd, end = pr.Bd, pr.Ctx.Now()
 	})
 	if bd.Total() != end {
 		t.Errorf("breakdown holds %d cycles, want the %d that passed", bd.Total(), end)
 	}
-	return cycles, events, switches
+	return cycles, events, transfers
 }
 
-// A spin parks its context once: however many polls it makes, the
-// goroutine is switched to only when the test passes, and each phase
+// A spin parks its context once: however many polls it makes, control
+// returns to the goroutine only when the test passes, and each phase
 // that takes time is one engine event.
 func TestSpinEpisodeSwitchesOnce(t *testing.T) {
 	p := DefaultParams()
 	p.Nodes = 2
-	cycles, events, switches := spinEpisode(t, p)
+	cycles, events, transfers := spinEpisode(t, p)
 	if want := 4*p.L1HitCycles + 3*p.SpinPollCycles; cycles[0] != want {
 		t.Errorf("SpinLoad of 4 polls took %d cycles, want %d", cycles[0], want)
 	}
@@ -393,8 +394,8 @@ func TestSpinEpisodeSwitchesOnce(t *testing.T) {
 		t.Errorf("SpinRegs of 4 polls took %d cycles, want %d", cycles[1], want)
 	}
 	for k, name := range []string{"SpinLoad", "SpinRegs"} {
-		if events[k] != 7 || switches[k] != 1 {
-			t.Errorf("%s of 4 polls: %d events and %d switches, want 7 and 1", name, events[k], switches[k])
+		if events[k] != 7 || transfers[k] != 1 {
+			t.Errorf("%s of 4 polls: %d events and %d switches or resumes, want 7 and 1", name, events[k], transfers[k])
 		}
 	}
 }
@@ -406,18 +407,18 @@ func TestSpinZeroLengthPhases(t *testing.T) {
 	p := DefaultParams()
 	p.Nodes = 2
 	p.SpinPollCycles = 0
-	cycles, events, switches := spinEpisode(t, p)
-	if want := 4 * p.L1HitCycles; cycles[0] != want || events[0] != 4 || switches[0] != 1 {
-		t.Errorf("SpinLoad with 0-cycle polls: %d cycles, %d events, %d switches; want %d, 4, 1",
-			cycles[0], events[0], switches[0], want)
+	cycles, events, transfers := spinEpisode(t, p)
+	if want := 4 * p.L1HitCycles; cycles[0] != want || events[0] != 4 || transfers[0] != 1 {
+		t.Errorf("SpinLoad with 0-cycle polls: %d cycles, %d events, %d switches or resumes; want %d, 4, 1",
+			cycles[0], events[0], transfers[0], want)
 	}
-	if want := 4 * p.RegAccessCycles; cycles[1] != want || events[1] != 4 || switches[1] != 1 {
-		t.Errorf("SpinRegs with 0-cycle polls: %d cycles, %d events, %d switches; want %d, 4, 1",
-			cycles[1], events[1], switches[1], want)
+	if want := 4 * p.RegAccessCycles; cycles[1] != want || events[1] != 4 || transfers[1] != 1 {
+		t.Errorf("SpinRegs with 0-cycle polls: %d cycles, %d events, %d switches or resumes; want %d, 4, 1",
+			cycles[1], events[1], transfers[1], want)
 	}
 	p.RegAccessCycles = 0
-	if _, events, switches := spinEpisode(t, p); events[1] != 0 || switches[1] != 0 {
-		t.Errorf("SpinRegs with 0-cycle phases: %d events, %d switches; want none", events[1], switches[1])
+	if _, events, transfers := spinEpisode(t, p); events[1] != 0 || transfers[1] != 0 {
+		t.Errorf("SpinRegs with 0-cycle phases: %d events, %d switches or resumes; want none", events[1], transfers[1])
 	}
 	p.SpinPollCycles = DefaultParams().SpinPollCycles
 	cycles, events, _ = spinEpisode(t, p)

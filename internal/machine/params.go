@@ -8,7 +8,7 @@ package machine
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -103,15 +103,30 @@ func (p Params) Validate() error {
 }
 
 // Table1 renders the configuration in the shape of the paper's Table 1.
+// It appends with strconv rather than printing with fmt, so every call
+// makes the same allocations: fmt's printer cache is per P, and a call
+// on a P whose cache was cold allocated more.
 func (p Params) Table1() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Simulated System Parameters\n")
-	fmt.Fprintf(&sb, "  CPU: dual-processor CMP model, clock %.1f GHz, %d nodes\n", p.ClockGHz, p.Nodes)
-	fmt.Fprintf(&sb, "  L1 caches (I/D): %d KB, %d-way, hit %d cycle(s)\n", p.L1Bytes/1024, p.L1Assoc, p.L1HitCycles)
-	fmt.Fprintf(&sb, "  L2 cache (unified, shared): %d MB, %d-way, hit %d cycles\n", p.L2Bytes/(1024*1024), p.L2Assoc, p.L2HitCycles)
-	fmt.Fprintf(&sb, "  Memory parameters (ns): BusTime=%d PILocalDCTime=%d NILocalDCTime=%d NIRemoteDCTime=%d NetTime=%d MemTime=%d\n",
-		p.BusNS, p.PILocalDCNS, p.NILocalDCNS, p.NIRemoteDCNS, p.NetNS, p.MemNS)
-	fmt.Fprintf(&sb, "  Minimum L2 fill latency: local %d ns, remote %d ns\n", p.LocalMissNS, p.RemoteMissNS)
-	fmt.Fprintf(&sb, "  Line size: %d B\n", p.LineBytes)
-	return sb.String()
+	b := make([]byte, 0, 512)
+	num := func(label string, v int) { b = strconv.AppendInt(append(b, label...), int64(v), 10) }
+	cyc := func(label string, v sim.Time) { b = strconv.AppendUint(append(b, label...), v, 10) }
+	b = append(b, "Simulated System Parameters\n  CPU: dual-processor CMP model, clock "...)
+	b = strconv.AppendFloat(b, p.ClockGHz, 'f', 1, 64)
+	num(" GHz, ", p.Nodes)
+	num(" nodes\n  L1 caches (I/D): ", p.L1Bytes/1024)
+	num(" KB, ", p.L1Assoc)
+	cyc("-way, hit ", p.L1HitCycles)
+	num(" cycle(s)\n  L2 cache (unified, shared): ", p.L2Bytes/(1024*1024))
+	num(" MB, ", p.L2Assoc)
+	cyc("-way, hit ", p.L2HitCycles)
+	num(" cycles\n  Memory parameters (ns): BusTime=", p.BusNS)
+	num(" PILocalDCTime=", p.PILocalDCNS)
+	num(" NILocalDCTime=", p.NILocalDCNS)
+	num(" NIRemoteDCTime=", p.NIRemoteDCNS)
+	num(" NetTime=", p.NetNS)
+	num(" MemTime=", p.MemNS)
+	num("\n  Minimum L2 fill latency: local ", p.LocalMissNS)
+	num(" ns, remote ", p.RemoteMissNS)
+	num(" ns\n  Line size: ", p.LineBytes)
+	return string(append(b, " B\n"...))
 }

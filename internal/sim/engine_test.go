@@ -180,23 +180,30 @@ func deadlockRun(t *testing.T) {
 
 func TestDeadlockReported(t *testing.T) { deadlockRun(t) }
 
-// Repeated deadlock-path runs must not accumulate goroutines: the engine
-// teardown unwinds parked contexts and their workers return to the pool.
-func TestDeadlockTeardownDoesNotLeakGoroutines(t *testing.T) {
-	deadlockRun(t) // warm the worker pool
+// checkNoLeak runs run once to warm the worker pool, then 50 times more,
+// and fails if the goroutine count grew: every run must return its
+// workers to the pool, however it ended.
+func checkNoLeak(t *testing.T, what string, run func(*testing.T)) {
+	t.Helper()
+	run(t)
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	const runs = 50
 	for i := 0; i < runs; i++ {
-		deadlockRun(t)
+		run(t)
 	}
 	runtime.GC()
-	after := runtime.NumGoroutine()
 	// Pooled workers persist by design (bounded), so allow a little slack —
-	// but nothing close to one leaked goroutine per deadlocked run.
-	if after > before+10 {
-		t.Fatalf("goroutines grew %d -> %d over %d deadlock runs", before, after, runs)
+	// but nothing close to one leaked goroutine per run.
+	if after := runtime.NumGoroutine(); after > before+10 {
+		t.Fatalf("goroutines grew %d -> %d over %d %s", before, after, runs, what)
 	}
+}
+
+// Repeated deadlock-path runs must not accumulate goroutines: the engine
+// teardown unwinds parked contexts and their workers return to the pool.
+func TestDeadlockTeardownDoesNotLeakGoroutines(t *testing.T) {
+	checkNoLeak(t, "deadlock runs", deadlockRun)
 }
 
 // Teardown unwinds the context stack, so deferred cleanups inside the
@@ -438,17 +445,68 @@ func panicRun(t *testing.T) {
 // A panicking context fails its run instead of killing the process, and
 // repeated panicking runs do not accumulate goroutines.
 func TestContextPanicFailsRun(t *testing.T) {
-	panicRun(t) // warm the worker pool
-	runtime.GC()
-	before := runtime.NumGoroutine()
-	const runs = 50
-	for i := 0; i < runs; i++ {
-		panicRun(t)
+	checkNoLeak(t, "panicking runs", panicRun)
+}
+
+// wantPanic checks that Run failed with a *PanicError naming context (empty
+// for a callback) and value, after tearing every context down, and returns
+// the recorded stack.
+func wantPanic(t *testing.T, e *Engine, err error, context string, value any) string {
+	t.Helper()
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Context != context || pe.Value != value {
+		t.Fatalf("Run = %v, want a *PanicError of context %q with value %v", err, context, value)
 	}
-	runtime.GC()
-	if after := runtime.NumGoroutine(); after > before+10 {
-		t.Fatalf("goroutines grew %d -> %d over %d panicking runs", before, after, runs)
+	if !e.Finished() {
+		t.Fatal("panic left unfinished contexts")
 	}
+	return string(pe.Stack)
+}
+
+// ticker returns a body that advances one cycle n times, so its goroutine
+// runs the event loop at every cycle.
+func ticker(n int) func(*Context) {
+	return func(c *Context) {
+		for i := 0; i < n; i++ {
+			c.Advance(1)
+		}
+	}
+}
+
+// A callback runs on whichever goroutine holds control. One that panics
+// inside a context's park fails the run as a callback's *PanicError: it
+// must not unwind the parked body as if the body had panicked.
+func TestCallbackPanicOnContextGoroutine(t *testing.T) {
+	checkNoLeak(t, "callback panics on a context's goroutine", func(t *testing.T) {
+		e := NewEngine()
+		e.Spawn("parked", 0, func(c *Context) { c.Advance(100) })
+		e.Spawn("ticker", 0, ticker(10))
+		e.At(5, func() { panic("callback bug") })
+		err := e.Run()
+		stack := wantPanic(t, e, err, "", "callback bug")
+		if !strings.Contains(stack, "ticker") || !strings.Contains(stack, "park") {
+			t.Fatalf("callback did not panic inside the ticker's park:\n%s", stack)
+		}
+		if got := err.Error(); got != "sim: callback panicked: callback bug" {
+			t.Fatalf("error text %q does not say a callback panicked", got)
+		}
+	})
+}
+
+// A context whose body returned runs the event loop on its worker before
+// the worker goes back to the pool, outside runBody's recover: a callback
+// that panics there still fails the run instead of killing the process.
+func TestCallbackPanicAfterBodyReturns(t *testing.T) {
+	checkNoLeak(t, "callback panics on a finished context's worker", func(t *testing.T) {
+		e := NewEngine()
+		e.Spawn("parked", 0, func(c *Context) { c.Advance(100) })
+		e.Spawn("short", 0, func(c *Context) { c.Advance(5) })
+		e.At(7, func() { panic("callback bug") })
+		stack := wantPanic(t, e, e.Run(), "", "callback bug")
+		if !strings.Contains(stack, "finish") || strings.Contains(stack, "runBody") {
+			t.Fatalf("callback did not panic on the finished context's worker:\n%s", stack)
+		}
+	})
 }
 
 // countdown is a Spinner that waits gap cycles between wakes and is done
@@ -467,9 +525,21 @@ func (s *countdown) Step() (Time, bool) {
 	return s.gap, s.steps == s.n
 }
 
-// A context in spin mode is switched to once per episode, however many
+// delta returns the counts between two readings of Counters.
+func delta(after, before Counters) Counters {
+	return Counters{
+		Events:    after.Events - before.Events,
+		Switches:  after.Switches - before.Switches,
+		Resumes:   after.Resumes - before.Resumes,
+		SpinSteps: after.SpinSteps - before.SpinSteps,
+	}
+}
+
+// A context in spin mode gets control back once per episode, however many
 // wakes the spinner handles: an n-wake spin costs n events and n spin
-// steps but one switch, and resumes at the wake where the spinner is done.
+// steps but one transfer of control, and resumes at the wake where the
+// spinner is done. A lone spinner is stepped on its own goroutine, so that
+// transfer is a resume with no channel operation.
 func TestSpinParkSwitchesOnce(t *testing.T) {
 	const n = 50
 	e := NewEngine()
@@ -480,20 +550,19 @@ func TestSpinParkSwitchesOnce(t *testing.T) {
 		before := c.Engine().Counters()
 		c.SpinPark(3, s)
 		resumed = c.Now()
-		after := c.Engine().Counters()
-		during = Counters{after.Events - before.Events, after.Switches - before.Switches, after.SpinSteps - before.SpinSteps}
+		during = delta(c.Engine().Counters(), before)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if want := (Counters{Events: n, Switches: 1, SpinSteps: n}); during != want {
-		t.Fatalf("spin episode counted %+v, want %+v", during, want)
+	if during.Events != n || during.SpinSteps != n || during.Switches+during.Resumes != 1 {
+		t.Fatalf("spin episode counted %+v, want %d events, %d spin steps and one switch or resume", during, n, n)
 	}
 	if want := Time(3 * n); resumed != want {
 		t.Fatalf("context resumed at t=%d, want %d", resumed, want)
 	}
-	if got := e.Counters(); got.Switches != 2 || got.Events != n+1 {
-		t.Fatalf("run counted %+v, want %d events and 2 switches (start, resume)", got, n+1)
+	if got, want := e.Counters(), (Counters{Events: n + 1, Switches: 1, Resumes: 1, SpinSteps: n}); got != want {
+		t.Fatalf("run counted %+v, want %+v (a switch to start, a resume to end the episode)", got, want)
 	}
 }
 
@@ -533,32 +602,29 @@ func TestSpinParkKeepsEventOrder(t *testing.T) {
 // body panic: Run returns instead of unwinding, every context is torn
 // down, and repeated runs do not leak goroutines.
 func TestSpinnerPanicFailsRun(t *testing.T) {
-	run := func() {
+	checkNoLeak(t, "spinner-panic runs", func(t *testing.T) {
 		e := NewEngine()
 		e.Spawn("parked", 0, func(c *Context) { c.Advance(100) })
 		e.Spawn("spinner", 0, func(c *Context) { c.SpinPark(1, &countdown{n: 10, boom: -3, gap: 1}) })
-		err := e.Run()
-		var pe *PanicError
-		if !errors.As(err, &pe) || pe.Context != "spinner" || pe.Value != "spinner bug" {
-			t.Fatalf("Run = %v, want the spinner's panic as context spinner's *PanicError", err)
+		if stack := wantPanic(t, e, e.Run(), "spinner", "spinner bug"); !strings.Contains(stack, "countdown") {
+			t.Fatalf("recorded stack does not reach the panicking Step:\n%s", stack)
 		}
-		if !strings.Contains(string(pe.Stack), "countdown") {
-			t.Fatalf("recorded stack does not reach the panicking Step:\n%s", pe.Stack)
+	})
+}
+
+// A spinner is stepped on whichever goroutine holds control. A Step that
+// panics on another context's goroutine still fails the run as the
+// spinner's *PanicError.
+func TestSpinnerPanicOnAnotherGoroutine(t *testing.T) {
+	checkNoLeak(t, "spinner panics on another context's goroutine", func(t *testing.T) {
+		e := NewEngine()
+		e.Spawn("spinner", 0, func(c *Context) { c.SpinPark(1, &countdown{n: 10, boom: -3, gap: 2}) })
+		e.Spawn("ticker", 0, ticker(100))
+		stack := wantPanic(t, e, e.Run(), "spinner", "spinner bug")
+		if !strings.Contains(stack, "countdown") || !strings.Contains(stack, "ticker") {
+			t.Fatalf("Step did not panic on the ticker's goroutine:\n%s", stack)
 		}
-		if !e.Finished() {
-			t.Fatal("spinner panic left unfinished contexts")
-		}
-	}
-	run() // warm the worker pool
-	runtime.GC()
-	before := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		run()
-	}
-	runtime.GC()
-	if after := runtime.NumGoroutine(); after > before+10 {
-		t.Fatalf("goroutines grew %d -> %d over 50 spinner-panic runs", before, after)
-	}
+	})
 }
 
 // A context parked in spin mode with no pending wake is a deadlock like
@@ -580,24 +646,30 @@ func TestSpinParkedDeadlockTearsDown(t *testing.T) {
 	}
 }
 
-// closeSpinParked parks a context in spin mode mid-episode, then closes
-// the engine: the context must unwind without being resumed or stepped.
+// closeSpinParked leaves a context parked in spin mode with its first
+// wake pending, then closes the engine: the context must unwind without
+// being stepped or resumed. The test plays Run's part by hand. The
+// spinner's park hands control to a gate context, which holds it instead
+// of running the event loop on, so nothing steps the spinner before Close
+// tears both contexts down.
 func closeSpinParked(t *testing.T) {
-	t.Helper()
 	e := NewEngine()
 	s := &countdown{n: 5, gap: 1}
 	resumed := false
 	c := e.Spawn("spinner", 0, func(c *Context) {
-		c.SpinPark(1, s)
+		c.SpinPark(5, s)
 		resumed = true
 	})
-	// Dispatch the start event by hand, as Run would, so the context
-	// parks in spin mode with its first wake pending.
-	e.now = e.events.pop().at
-	c.run <- struct{}{}
-	<-e.yield
-	if c.spin == nil || len(e.events.ev) != 1 {
-		t.Fatalf("context not parked in spin mode (spin=%v, %d events)", c.spin, len(e.events.ev))
+	holding := make(chan struct{})
+	e.Spawn("gate", 1, func(g *Context) {
+		close(holding)
+		<-g.run // hold control until teardown aborts the gate
+		panic(abortPark{})
+	})
+	e.handoff(e.dispatch()) // start the spinner, as Run would
+	<-holding
+	if w := e.wakes.leaf(c.id); c.spin == nil || w.at != 5 {
+		t.Fatalf("context not parked in spin mode with its wake pending (spin=%v, wake at t=%d)", c.spin, w.at)
 	}
 	e.Close()
 	if resumed || s.steps != 0 || !e.Finished() {
@@ -608,14 +680,5 @@ func closeSpinParked(t *testing.T) {
 // Close unwinds a context parked in spin mode and returns its worker to
 // the pool: repeated closes do not accumulate goroutines.
 func TestCloseReleasesSpinParkedContext(t *testing.T) {
-	closeSpinParked(t) // warm the worker pool
-	runtime.GC()
-	before := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		closeSpinParked(t)
-	}
-	runtime.GC()
-	if after := runtime.NumGoroutine(); after > before+10 {
-		t.Fatalf("goroutines grew %d -> %d over 50 closes of a spin-parked context", before, after)
-	}
+	checkNoLeak(t, "closes of a spin-parked context", closeSpinParked)
 }
