@@ -87,7 +87,7 @@ golden-paper:
 # Benchmark baselines are committed as BENCH_PR$(PR).json, one per PR that
 # moves performance. BENCHTIME is multi-iteration on purpose: -benchtime=1x
 # made ns/op a single noisy sample and the ratchet flapped.
-PR ?= 25
+PR ?= 26
 BENCH_OUT ?= BENCH_PR$(PR).json
 BENCHTIME ?= 3x
 BENCH_COUNT ?= 2
@@ -114,8 +114,9 @@ bench-check:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCH_COUNT) -run '^$$' . | $(GO) run ./tools/benchjson -o BENCH_candidate.json
 	$(GO) run ./tools/benchdiff -baseline latest -new BENCH_candidate.json -ns-tol $(NS_TOL) -allocs-tol $(ALLOCS_TOL)
 
-# Short fuzz passes over the parser surfaces (one target per invocation:
-# the go tool runs a single fuzz target at a time).
+# Short fuzz passes over the parser surfaces and the paged cache against
+# its dense reference (one target per invocation: the go tool runs a
+# single fuzz target at a time).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzCampaignSpec -fuzztime 10s ./internal/server
@@ -124,6 +125,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzClaimWire -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzClaimMerge -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzCacheMatchesDense -fuzztime 10s ./internal/cache
 
 # Seeded cluster simulation sweep (internal/cluster/simtest): every
 # schedule runs real coordinators/workers/claimers over the netchaos

@@ -3,11 +3,12 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mk(t *testing.T) *Cache {
 	t.Helper()
-	return New("t", 16*1024, 2, 64) // 128 sets
+	return New(16*1024, 2, 64) // 128 sets
 }
 
 func TestGeometry(t *testing.T) {
@@ -22,9 +23,13 @@ func TestGeometry(t *testing.T) {
 
 func TestBadGeometryPanics(t *testing.T) {
 	for _, tc := range []struct{ size, assoc, line int }{
-		{16 * 1024, 2, 48}, // non-power-of-two line
-		{3 * 1000, 2, 64},  // non-power-of-two sets
-		{64, 2, 64},        // zero sets
+		{16 * 1024, 2, 48},  // non-power-of-two line
+		{3 * 1000, 2, 64},   // non-power-of-two sets
+		{64, 2, 64},         // zero sets
+		{0, 2, 64},          // zero size
+		{16 * 1024, 0, 64},  // zero ways
+		{16 * 1024, -2, 64}, // negative ways
+		{1 << 20, 3, 64},    // 5,461 sets
 	} {
 		func() {
 			defer func() {
@@ -32,7 +37,7 @@ func TestBadGeometryPanics(t *testing.T) {
 					t.Errorf("New(%d,%d,%d) did not panic", tc.size, tc.assoc, tc.line)
 				}
 			}()
-			New("bad", tc.size, tc.assoc, tc.line)
+			New(tc.size, tc.assoc, tc.line)
 		}()
 	}
 }
@@ -56,7 +61,7 @@ func TestInsertLookup(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New("t", 2*2*64, 2, 64) // 2 sets, 2 ways
+	c := New(2*2*64, 2, 64) // 2 sets, 2 ways
 	// Lines 0, 2, 4 all map to set 0.
 	c.Insert(0, Shared)
 	c.Insert(2, Shared)
@@ -71,7 +76,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestEvictionPrefersInvalidWay(t *testing.T) {
-	c := New("t", 2*2*64, 2, 64)
+	c := New(2*2*64, 2, 64)
 	c.Insert(0, Shared)
 	c.Insert(2, Modified)
 	c.Invalidate(0)
@@ -100,7 +105,7 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestPeekDoesNotBumpLRU(t *testing.T) {
-	c := New("t", 2*2*64, 2, 64)
+	c := New(2*2*64, 2, 64)
 	c.Insert(0, Shared)
 	c.Insert(2, Shared)
 	c.Peek(0) // must NOT protect line 0
@@ -115,11 +120,30 @@ func TestLineMetadataResetOnInsert(t *testing.T) {
 	l, _, _ := c.Insert(1, Shared)
 	l.UsedByPair = true
 	l.FilledBy = 3
+	l.FillKindV = FillReadEx
+	l.FillDone = 40
 	l.L1Mask = 3
 	c.Invalidate(1)
 	l2, _, _ := c.Insert(1, Modified)
-	if l2.UsedByPair || l2.FilledBy != -1 || l2.L1Mask != 0 || l2.L1Dirty != -1 {
+	if *l2 != (Line{Tag: 1, State: Modified, lastUse: l2.lastUse}) {
 		t.Fatalf("metadata not reset: %+v", *l2)
+	}
+}
+
+// A Line is 32 bytes: four fit a 128-byte set of the L2.
+func TestLineSize(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 32 {
+		t.Fatalf("Line is %d bytes, want 32", n)
+	}
+}
+
+// New allocates no line storage: a 16 MB cache costs the allocations of
+// a 16 KB one, and pages come at first fill.
+func TestNewAllocsIndependentOfSize(t *testing.T) {
+	small := testing.AllocsPerRun(10, func() { New(16*1024, 2, 64) })
+	large := testing.AllocsPerRun(10, func() { New(16<<20, 4, 64) })
+	if small != large {
+		t.Fatalf("New allocates %.0f times for 16 KB and %.0f for 16 MB", small, large)
 	}
 }
 
@@ -146,7 +170,7 @@ func TestStateString(t *testing.T) {
 // more than assoc lines per set, under arbitrary insert/invalidate traffic.
 func TestPropertyNoDuplicatesNoOverflow(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c := New("q", 8*2*64, 2, 64) // 8 sets, 2 ways
+		c := New(8*2*64, 2, 64) // 8 sets, 2 ways
 		for _, op := range ops {
 			line := uint64(op % 64)
 			if op%3 == 0 {
@@ -177,7 +201,7 @@ func TestPropertyNoDuplicatesNoOverflow(t *testing.T) {
 // or evicted, and eviction only happens when the set is full.
 func TestPropertyInsertThenFound(t *testing.T) {
 	f := func(lines []uint8) bool {
-		c := New("q", 4*4*64, 4, 64) // 4 sets, 4 ways
+		c := New(4*4*64, 4, 64) // 4 sets, 4 ways
 		for _, ln := range lines {
 			line := uint64(ln)
 			if c.Peek(line) != nil {
@@ -192,5 +216,38 @@ func TestPropertyInsertThenFound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// benchLines fills the first set of each of 64 pages of a Table 1 L2 and
+// returns the lines, so lookups walk the page table.
+func benchLines(c *Cache) []uint64 {
+	lines := make([]uint64, 64)
+	for i := range lines {
+		lines[i] = uint64(i) * 64
+		c.Insert(lines[i], Shared)
+	}
+	return lines
+}
+
+func BenchmarkLookupHit(b *testing.B) {
+	c := New(1<<20, 4, 64)
+	lines := benchLines(c)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c.Lookup(lines[i&63]) == nil {
+			b.Fatal("miss")
+		}
+	}
+}
+
+func BenchmarkPeekMiss(b *testing.B) {
+	c := New(1<<20, 4, 64)
+	lines := benchLines(c)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c.Peek(lines[i&63]+1) != nil {
+			b.Fatal("hit")
+		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -161,5 +162,22 @@ func TestCompileNormalizes(t *testing.T) {
 	}
 	if _, err := Compile(Spec{Kind: KindStatic, Kernels: []string{"EP"}}); err == nil || !strings.Contains(err.Error(), `unknown kernel "EP"`) {
 		t.Errorf("a run kernel the suites do not filter: %v", err)
+	}
+}
+
+// TestCompileRefusesUnbuildableCache: a params block whose cache geometry
+// the machine cannot build is refused as a params error, before any cell
+// builds a machine from it on a pool goroutine.
+func TestCompileRefusesUnbuildableCache(t *testing.T) {
+	p := machine.DefaultParams()
+	p.L2Assoc = 3 // 1 MB / 3 ways / 64 B lines is 5,461 sets
+	data, err := p.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Compile(Spec{Kind: KindStatic, Params: data})
+	var fe *FieldError
+	if !errors.As(err, &fe) || fe.Field != "params" || !strings.Contains(err.Error(), "5461 sets") {
+		t.Fatalf("Compile of a static spec with a 3-way L2 = %v, want a params error naming the set count", err)
 	}
 }

@@ -127,19 +127,19 @@ func New(p Params) *Machine {
 		nd := &Node{
 			ID:    n,
 			M:     m,
-			L2:    cache.New(fmt.Sprintf("L2.%d", n), p.L2Bytes, p.L2Assoc, p.LineBytes),
-			Bus:   sim.NewResource(fmt.Sprintf("bus.%d", n)),
-			NIIn:  sim.NewResource(fmt.Sprintf("ni-in.%d", n)),
-			NIOut: sim.NewResource(fmt.Sprintf("ni-out.%d", n)),
-			Mem:   sim.NewResource(fmt.Sprintf("mem.%d", n)),
-			DC:    sim.NewResource(fmt.Sprintf("dc.%d", n)),
+			L2:    cache.New(p.L2Bytes, p.L2Assoc, p.LineBytes),
+			Bus:   sim.NewResource(),
+			NIIn:  sim.NewResource(),
+			NIOut: sim.NewResource(),
+			Mem:   sim.NewResource(),
+			DC:    sim.NewResource(),
 		}
 		for c := 0; c < 2; c++ {
 			pr := &Proc{
 				GID:  n*2 + c,
 				CPU:  c,
 				Node: nd,
-				L1:   cache.New(fmt.Sprintf("L1.%d.%d", n, c), p.L1Bytes, p.L1Assoc, p.LineBytes),
+				L1:   cache.New(p.L1Bytes, p.L1Assoc, p.LineBytes),
 				cat:  stats.CatMem,
 			}
 			pr.spin.p = pr
@@ -467,13 +467,12 @@ func (p *Proc) access(addr shmem.Addr, write, prefetch bool) sim.Time {
 		// FillDone below, delays merged accesses), nothing else changes.
 		lat += m.Faults.MemSpikeLat(p.GID)
 		if m.P.TrackClass && p.Pair != nil {
-			l2.FilledBy = p.GID
+			l2.FilledBy = int32(p.GID)
 			if write {
 				l2.FillKindV = cache.FillReadEx
 			} else {
 				l2.FillKindV = cache.FillRead
 			}
-			l2.Prefetch = prefetch
 		}
 		l2.FillDone = now + uint64(lat)
 	}
@@ -483,12 +482,7 @@ func (p *Proc) access(addr shmem.Addr, write, prefetch bool) sim.Time {
 		other := p.Node.Procs[1-p.CPU]
 		other.L1.Invalidate(line)
 		l2.L1Mask = 1 << uint(p.CPU)
-		l2.L1Dirty = int8(p.CPU)
 	} else {
-		if l2.L1Dirty >= 0 && int(l2.L1Dirty) != p.CPU {
-			// Other local L1 holds it dirty: it supplies through the L2.
-			l2.L1Dirty = -1
-		}
 		l2.L1Mask |= 1 << uint(p.CPU)
 	}
 	if !prefetch {
@@ -512,9 +506,6 @@ func (p *Proc) fillL1(line uint64, write bool) {
 		// Write-back to L2 is free of charge (intra-CMP); clear tracking.
 		if l2 := p.Node.L2.Peek(victim.Tag); l2 != nil {
 			l2.L1Mask &^= 1 << uint(p.CPU)
-			if l2.L1Dirty == int8(p.CPU) {
-				l2.L1Dirty = -1
-			}
 		}
 	}
 }
@@ -627,9 +618,6 @@ func (p *Proc) dirFetch(line uint64, write bool, now sim.Time) (*cache.Line, sim
 		} else {
 			if l := ownerNode.L2.Peek(line); l != nil {
 				l.State = cache.Shared
-				if l.L1Dirty >= 0 {
-					l.L1Dirty = -1
-				}
 				// Downgrade the owner's L1 copies to Shared as well.
 				for c := 0; c < 2; c++ {
 					if l1 := ownerNode.Procs[c].L1.Peek(line); l1 != nil {
@@ -724,7 +712,7 @@ func (m *Machine) invalidateNode(nd *Node, line uint64) {
 // markPairUse records a partner-stream touch of a tracked fill.
 func (p *Proc) markPairUse(l2 *cache.Line, now sim.Time) {
 	m := p.Node.M
-	if !m.P.TrackClass || l2.FilledBy < 0 || l2.UsedByPair {
+	if !m.P.TrackClass || l2.FillKindV == cache.FillNone || l2.UsedByPair {
 		return
 	}
 	filler := m.Procs[l2.FilledBy]
@@ -742,7 +730,7 @@ func (p *Proc) markPairUse(l2 *cache.Line, now sim.Time) {
 // classifyDrop records an Only outcome for a tracked fill that is being
 // evicted/invalidated (or remains at end of run) without a partner touch.
 func (m *Machine) classifyDrop(l *cache.Line) {
-	if !m.P.TrackClass || l.FilledBy < 0 || l.UsedByPair {
+	if !m.P.TrackClass || l.FillKindV == cache.FillNone || l.UsedByPair {
 		return
 	}
 	filler := m.Procs[l.FilledBy]

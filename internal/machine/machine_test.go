@@ -57,6 +57,14 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(p *Params) { p.Nodes = 100 },
 		func(p *Params) { p.LineBytes = 48 },
 		func(p *Params) { p.RemoteMissNS = p.LocalMissNS - 1 },
+		func(p *Params) { p.L1Bytes = 0 },
+		func(p *Params) { p.L1Assoc = 0 },
+		func(p *Params) { p.L1Assoc = 3 }, // 16 KB / 3 ways / 64 B is 85 sets
+		func(p *Params) { p.L2Bytes = -1 },
+		func(p *Params) { p.L2Assoc = -4 },
+		func(p *Params) { p.L2Assoc = 3 },               // 5,461 sets
+		func(p *Params) { p.L2Bytes = 3 * 1024 * 1024 }, // 12,288 sets
+		func(p *Params) { p.L2Bytes = 64 },              // 0 sets
 	} {
 		p := DefaultParams()
 		mod(&p)

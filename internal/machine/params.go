@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/cache"
 	"repro/internal/sim"
 )
 
@@ -98,6 +99,12 @@ func (p Params) Validate() error {
 		return fmt.Errorf("machine: line size %d not a power of two", p.LineBytes)
 	case p.RemoteMissNS < p.LocalMissNS:
 		return fmt.Errorf("machine: remote miss (%d ns) below local miss (%d ns)", p.RemoteMissNS, p.LocalMissNS)
+	}
+	if _, err := cache.Geometry(p.L1Bytes, p.L1Assoc, p.LineBytes); err != nil {
+		return fmt.Errorf("machine: L1 %w", err)
+	}
+	if _, err := cache.Geometry(p.L2Bytes, p.L2Assoc, p.LineBytes); err != nil {
+		return fmt.Errorf("machine: L2 %w", err)
 	}
 	return nil
 }

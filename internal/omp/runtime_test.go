@@ -31,13 +31,19 @@ func run(t *testing.T, c Config, program func(*Thread)) *Runtime {
 	return rt
 }
 
-// TestNewRefusesInvalidMachine: a node count outside the machine's range
-// comes back as an error instead of a panic.
+// TestNewRefusesInvalidMachine: a node count outside the machine's range,
+// or a cache geometry the machine cannot build, comes back as an error
+// instead of a panic.
 func TestNewRefusesInvalidMachine(t *testing.T) {
 	for _, nodes := range []int{0, 65} {
 		if _, err := New(cfg(core.ModeSingle, nodes)); err == nil || !strings.Contains(err.Error(), "node count") {
 			t.Errorf("New with %d nodes: err = %v, want the machine's node-count error", nodes, err)
 		}
+	}
+	c := cfg(core.ModeSingle, 4)
+	c.Machine.L2Assoc = 3
+	if _, err := New(c); err == nil || !strings.Contains(err.Error(), "machine: L2") {
+		t.Errorf("New with a 3-way 1 MB L2: err = %v, want the machine's L2 geometry error", err)
 	}
 }
 

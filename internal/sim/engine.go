@@ -570,15 +570,14 @@ func (c *Context) SpinPark(d Time, s Spinner) {
 // queueing delay when busy (contention at network ports, buses, and memory
 // controllers is modelled this way).
 type Resource struct {
-	name      string
 	busyUntil Time
 	busyTotal Time
 	waitTotal Time
 	uses      uint64
 }
 
-// NewResource returns a named idle resource.
-func NewResource(name string) *Resource { return &Resource{name: name} }
+// NewResource returns an idle resource.
+func NewResource() *Resource { return &Resource{} }
 
 // Acquire reserves the resource for occ cycles starting no earlier than
 // now, and returns the total delay from now until the reservation ends
@@ -606,6 +605,3 @@ func (r *Resource) BusyTotal() Time { return r.busyTotal }
 
 // WaitTotal returns total queueing cycles callers spent waiting.
 func (r *Resource) WaitTotal() Time { return r.waitTotal }
-
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }

@@ -280,7 +280,7 @@ func TestEventDispatchAllocFree(t *testing.T) {
 }
 
 func TestResourceUncontended(t *testing.T) {
-	r := NewResource("bus")
+	r := NewResource()
 	d := r.Acquire(100, 30)
 	if d != 30 {
 		t.Fatalf("uncontended acquire delay = %d, want 30", d)
@@ -291,7 +291,7 @@ func TestResourceUncontended(t *testing.T) {
 }
 
 func TestResourceQueueing(t *testing.T) {
-	r := NewResource("mem")
+	r := NewResource()
 	if d := r.Acquire(0, 50); d != 50 {
 		t.Fatalf("first acquire = %d", d)
 	}
@@ -311,7 +311,7 @@ func TestResourceQueueing(t *testing.T) {
 }
 
 func TestResourceIdleGap(t *testing.T) {
-	r := NewResource("ni")
+	r := NewResource()
 	r.Acquire(0, 10)
 	// Arrives long after the resource went idle: no queueing.
 	if d := r.Acquire(1000, 10); d != 10 {
